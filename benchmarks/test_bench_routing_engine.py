@@ -1,34 +1,34 @@
-"""Benchmark: lane-vectorized routing engine vs. the scalar reference loop.
+"""Benchmark: the lane routing engine, plus the batched ``next_local`` builder.
 
 Measures the Monte-Carlo routing phase (64 pairs x 16 trials, uniform scheme)
-on square grids at n ~ {2k, 10k, 50k} under both engines.  Per engine and
-size, two rounds run against a BFS-prewarmed oracle:
+on square grids at n ~ {2k, 10k, 50k} and on rings.  Per size, rounds run
+against a BFS-prewarmed oracle:
 
-* **cold** — the first estimate, which for the lane engine includes building
-  the per-target ``next_local`` hop tables and stacked routing blocks
+* **cold** — the first estimate, which includes building the per-target
+  ``next_local`` hop tables and stacked routing blocks
   (``DistanceOracle.routing_blocks``);
-* **warm** — the steady-state estimate with those oracle caches populated.
+* **warm** — the steady-state estimate with those oracle caches populated,
+  recorded as the minimum over ``_WARM_ROUNDS`` rounds (the minimum sheds
+  scheduler and allocator noise).
 
 Warm is the figure the sweep pipeline actually pays per scheme: every
 experiment cell routes several schemes (and repeated trial batches) over the
 *same* seeded pairs and shared oracle, so the table construction is a
 once-per-cell cost while each scheme's routing phase runs at the warm rate.
-The speedup gates therefore apply to the warm numbers; cold numbers are
-recorded alongside for transparency.
 
 Every run appends a record to ``BENCH_routing.json`` at the repository root,
 so the routing-perf trajectory accumulates across runs/commits; CI uploads
-the file as a workflow artifact.
+the file as a workflow artifact.  ``tools/check_bench_trend.py`` gates the
+``routing_engine`` and ``routing_engine_highdiam`` kinds on the warm
+``lane_seconds`` (lower is better); the ``next_local_many`` kind keeps its
+batched-vs-loop ``speedup`` gate.
 
 Modes
 -----
-* default (smoke, what CI and the tier-1 suite run): n ~ 2k only, with a
-  modest 2x warm-speedup gate and the lane-vs-scalar divergence gate (shared
-  contact table => identical step counts, lane by lane).
-* ``BENCH_ROUTING_FULL=1``: all three sizes, and the issue's acceptance gate
-  of >= 10x at n ~ 50k.
+* default (smoke, what CI and the tier-1 suite run): n ~ 2k only.
+* ``BENCH_ROUTING_FULL=1``: all sizes.
 
-Run the acceptance-scale comparison with::
+Run the full-size measurement with::
 
     BENCH_ROUTING_FULL=1 PYTHONPATH=src python -m pytest \
         benchmarks/test_bench_routing_engine.py -q -s
@@ -40,17 +40,16 @@ import time
 import numpy as np
 
 from bench_recording import append_record
-from repro.core.base import NO_CONTACT
 from repro.core.uniform import UniformScheme
 from repro.graphs import generators, kernels
 from repro.graphs.oracle import DistanceOracle
-from repro.routing.engine import materialize_contact_table, route_lanes
-from repro.routing.greedy import greedy_route
 from repro.routing.simulator import estimate_expected_steps
 
 _NUM_PAIRS = 64
 _TRIALS = 16
 _SEED = 20070610
+#: Warm rounds per size; ``lane_seconds`` is their minimum.
+_WARM_ROUNDS = 5
 #: Grid sides for the sweep: 45^2 ~ 2k, 100^2 = 10k, 224^2 ~ 50k nodes.
 _SMOKE_SIDES = [45]
 _FULL_SIDES = [45, 100, 224]
@@ -71,20 +70,30 @@ def _pairs(n: int):
     return pairs
 
 
-def _measure_engine(graph, pairs, engine: str):
-    """Return ``(cold_seconds, warm_seconds)`` for one engine at one size."""
+def _measure_lane(graph, pairs):
+    """Return ``(cold_seconds, warm_seconds)``: the first round, then min of warm."""
     scheme = UniformScheme(graph, seed=_SEED)
     oracle = DistanceOracle(graph)
     oracle.prefetch(t for (_, t) in pairs)  # BFS warm-up is not routing time
     timings = []
-    for round_seed in (_SEED, _SEED + 1):
+    for round_seed in range(_SEED, _SEED + 1 + _WARM_ROUNDS):
         t0 = time.perf_counter()
-        estimate_expected_steps(
-            graph, scheme, pairs, trials=_TRIALS, seed=round_seed,
-            oracle=oracle, engine=engine,
+        estimate = estimate_expected_steps(
+            graph, scheme, pairs, trials=_TRIALS, seed=round_seed, oracle=oracle
         )
         timings.append(time.perf_counter() - t0)
-    return timings[0], timings[1]
+        assert estimate.failed_trials == 0
+    return timings[0], min(timings[1:])
+
+
+def _lane_row(n: int, cold: float, warm: float, **shape) -> dict:
+    return {
+        "n": n,
+        **shape,
+        "lane_seconds": round(warm, 4),
+        "lane_cold_seconds": round(cold, 4),
+        "warm_rounds": _WARM_ROUNDS,
+    }
 
 
 def _append_record(results, benchmark: str = "routing_engine", config: dict = None) -> None:
@@ -98,71 +107,17 @@ def _append_record(results, benchmark: str = "routing_engine", config: dict = No
     )
 
 
-def test_lane_matches_scalar_on_smoke_config():
-    """Divergence gate: identical trajectories under a shared contact table."""
-    graph = generators.grid_graph([24, 24])
-    pairs = _pairs(graph.num_nodes)[:8]
-    trials = 4
-    scheme = UniformScheme(graph, seed=_SEED)
-    oracle = DistanceOracle(graph)
-    table = materialize_contact_table(scheme, len(pairs) * trials, rng=_SEED)
-    batch = route_lanes(
-        graph, scheme, pairs, trials=trials, seed=1, oracle=oracle, contact_table=table
-    )
-    for lane in range(len(pairs) * trials):
-        s, t = pairs[lane // trials]
-        result = greedy_route(
-            graph,
-            oracle.distances_to(t),
-            s,
-            t,
-            lambda u, lane=lane: (
-                None if table[lane, u] == NO_CONTACT else int(table[lane, u])
-            ),
-        )
-        assert result.success and bool(batch.success[lane])
-        assert int(batch.steps[lane]) == result.steps
-        assert int(batch.long_links[lane]) == result.long_links_used
-
-
-def test_lane_engine_speedup():
-    """Measure lane vs scalar per size, accumulate BENCH_routing.json, gate."""
+def test_lane_engine_grid():
+    """Lane-engine warm/cold seconds per grid size, appended to BENCH_routing.json."""
     sides = _FULL_SIDES if _full_mode() else _SMOKE_SIDES
     results = []
     for side in sides:
         graph = generators.grid_graph([side, side])
         n = graph.num_nodes
-        pairs = _pairs(n)
-        scalar_cold, scalar_warm = _measure_engine(graph, pairs, "scalar")
-        lane_cold, lane_warm = _measure_engine(graph, pairs, "lane")
-        speedup = scalar_warm / lane_warm if lane_warm > 0 else float("inf")
-        results.append(
-            {
-                "n": n,
-                "grid": [side, side],
-                "scalar_seconds": round(scalar_warm, 4),
-                "lane_seconds": round(lane_warm, 4),
-                "speedup": round(speedup, 2),
-                "scalar_cold_seconds": round(scalar_cold, 4),
-                "lane_cold_seconds": round(lane_cold, 4),
-                "cold_speedup": round(
-                    scalar_cold / lane_cold if lane_cold > 0 else float("inf"), 2
-                ),
-            }
-        )
-        print(
-            f"\nrouting engines at n={n}: scalar {scalar_warm:.3f}s, "
-            f"lane {lane_warm:.3f}s warm ({lane_cold:.3f}s cold), "
-            f"speedup {speedup:.1f}x"
-        )
+        cold, warm = _measure_lane(graph, _pairs(n))
+        results.append(_lane_row(n, cold, warm, grid=[side, side]))
+        print(f"\nlane engine at n={n}: {warm * 1000:.2f}ms warm ({cold * 1000:.2f}ms cold)")
     _append_record(results)
-    # Smoke gate: decisively faster even at 2k.  Acceptance gate: >= 10x on
-    # the 50k grid (full mode, the issue's bar).
-    assert results[0]["speedup"] >= 2.0, results
-    if _full_mode():
-        biggest = results[-1]
-        assert biggest["n"] >= 50_000
-        assert biggest["speedup"] >= 10.0, results
 
 
 #: Ring sizes for the high-diameter lane-engine rows (EXP-2/EXP-5 territory:
@@ -171,47 +126,25 @@ _SMOKE_RING = [2048]
 _FULL_RING = [2048, 8192]
 
 
-def test_lane_engine_high_diameter_speedup():
-    """Lane vs scalar on *rings* — the high-diameter family EXP-2/EXP-5 sweep.
+def test_lane_engine_high_diameter():
+    """Lane-engine rows on *rings* — the high-diameter family EXP-2/EXP-5 sweep.
 
-    Grid rows alone let a ring-only regression hide (the ROADMAP's last open
-    perf item was exactly that gap), so the ring rows are recorded under
-    their own ``routing_engine_highdiam`` kind and trend-gated like the grid
-    rows.  The warm-speedup structure mirrors :func:`test_lane_engine_speedup`.
+    Grid rows alone let a ring-only regression hide, so the ring rows are
+    recorded under their own ``routing_engine_highdiam`` kind and trend-gated
+    like the grid rows.
     """
     sizes = _FULL_RING if _full_mode() else _SMOKE_RING
     results = []
     for n in sizes:
         graph = generators.cycle_graph(n)
-        pairs = _pairs(n)
-        scalar_cold, scalar_warm = _measure_engine(graph, pairs, "scalar")
-        lane_cold, lane_warm = _measure_engine(graph, pairs, "lane")
-        speedup = scalar_warm / lane_warm if lane_warm > 0 else float("inf")
-        results.append(
-            {
-                "n": n,
-                "family": "ring",
-                "scalar_seconds": round(scalar_warm, 4),
-                "lane_seconds": round(lane_warm, 4),
-                "speedup": round(speedup, 2),
-                "scalar_cold_seconds": round(scalar_cold, 4),
-                "lane_cold_seconds": round(lane_cold, 4),
-                "cold_speedup": round(
-                    scalar_cold / lane_cold if lane_cold > 0 else float("inf"), 2
-                ),
-            }
-        )
-        print(
-            f"\nrouting engines on ring n={n}: scalar {scalar_warm:.3f}s, "
-            f"lane {lane_warm:.3f}s warm ({lane_cold:.3f}s cold), "
-            f"speedup {speedup:.1f}x"
-        )
+        cold, warm = _measure_lane(graph, _pairs(n))
+        results.append(_lane_row(n, cold, warm, family="ring"))
+        print(f"\nlane engine on ring n={n}: {warm * 1000:.2f}ms warm ({cold * 1000:.2f}ms cold)")
     _append_record(
         results,
         benchmark="routing_engine_highdiam",
         config={"num_pairs": _NUM_PAIRS, "trials": _TRIALS, "scheme": "uniform", "family": "ring"},
     )
-    assert results[0]["speedup"] >= 2.0, results
 
 
 def test_next_local_many_speedup():

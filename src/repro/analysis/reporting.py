@@ -159,7 +159,9 @@ class ExperimentResult:
 #: content fingerprint (GraphStore era), and graph generation / pair sampling
 #: are instance-seeded rather than cell-seeded — version-1 artifacts measured
 #: different pair sets, so resuming onto them would silently mix statistics.
-ARTIFACT_SCHEMA_VERSION = 2
+#: Version 3: sweeps route on counter-seeded lanes (different random streams
+#: from version 2) and the config fingerprint no longer carries ``engine``.
+ARTIFACT_SCHEMA_VERSION = 3
 
 
 #: Filesystem-safe slug for artifact filenames — shared with the GraphStore's

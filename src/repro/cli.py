@@ -20,7 +20,7 @@ Five subcommands cover the library's day-to-day uses without writing Python:
   ``--stats`` reports hit rates, memory use and which kernel backend served
   each cell).
 
-The flags every subcommand repeats (``--size/-n``, ``--seed``, ``--engine``,
+The flags every subcommand repeats (``--size/-n``, ``--seed``,
 ``--kernel-backend``, ``--jobs``) are defined once as argparse *parent
 parsers* (:func:`_instance_flags` and friends) so their types, defaults and
 help stay consistent across subcommands.  Invalid flag combinations raise
@@ -50,7 +50,7 @@ from repro.graphs.families import GRAPH_FAMILIES, build_family_graph
 from repro.graphs.distances import diameter
 from repro.graphs.graph import Graph
 from repro.graphs.provider import DISTANCE_MODES, make_distance_provider
-from repro.routing.simulator import ROUTING_ENGINES, estimate_greedy_diameter
+from repro.routing.simulator import estimate_greedy_diameter
 
 __all__ = ["main", "build_parser", "GRAPH_FAMILIES", "UsageError"]
 
@@ -123,13 +123,6 @@ def _instance_flags(default_size: int) -> argparse.ArgumentParser:
                         help=f"number of nodes (default {default_size})")
     parent.add_argument("--seed", type=int, default=0,
                         help="master seed for the instance (default 0)")
-    return parent
-
-
-def _engine_flags(help_text: str) -> argparse.ArgumentParser:
-    """``--engine``: the Monte-Carlo routing engine."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--engine", choices=ROUTING_ENGINES, default="lane", help=help_text)
     return parent
 
 
@@ -245,7 +238,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
             trials=args.trials,
             seed=args.seed,
             oracle=oracle,
-            engine=args.engine,
         )
         rows.append(
             [
@@ -287,8 +279,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.server import RouteServer
     from repro.session import open_session
 
-    if args.engine != "lane":
-        raise UsageError("repro serve batches queries as lanes; only --engine lane is supported")
     if args.max_batch < 1:
         raise UsageError("--max-batch must be at least 1")
     if args.window_ms < 0:
@@ -370,7 +360,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         kernels.set_backend(args.kernel_backend)
     config = ExperimentConfig.quick() if args.quick else ExperimentConfig.full()
     config = config.scaled(
-        engine=args.engine,
         distance_mode=args.distance_mode,
         landmarks=args.landmarks,
     )
@@ -517,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="estimate the greedy diameter under one or more schemes",
         parents=[
             _instance_flags(512),
-            _engine_flags("Monte-Carlo routing engine (lane = vectorized, scalar = reference loop)"),
             _kernel_flags(
                 "BFS/hop-table kernel backend (auto = numba when installed; "
                 "results are backend-invariant)"
@@ -541,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the micro-batching route daemon (NDJSON over TCP)",
         parents=[
             _instance_flags(4096),
-            _engine_flags("routing engine (the daemon batches lanes; only 'lane' is supported)"),
             _kernel_flags("BFS/hop-table kernel backend warmed before the session opens"),
             _distance_flags(),
         ],
@@ -574,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         help="run the paper's experiments",
         parents=[
-            _engine_flags("Monte-Carlo routing engine (part of the artifact fingerprint)"),
             _kernel_flags(
                 "BFS/hop-table kernel backend, exported via REPRO_KERNEL_BACKEND "
                 "so --jobs/--shard workers inherit it (NOT part of the artifact "

@@ -169,23 +169,6 @@ class BallScheme(AugmentationScheme):
         # landmark provider may serve them from its sketch.
         return self._oracle.query_distances_from(node)
 
-    def sample_level(self, rng: Optional[np.random.Generator] = None) -> int:
-        """Draw the level ``k ∈ {1, …, num_levels}`` from the level distribution."""
-        generator = rng if rng is not None else self._rng
-        u = generator.random()
-        return int(np.searchsorted(self._level_cumulative, u, side="right")) + 1
-
-    def sample_contact(self, node: int, rng: Optional[np.random.Generator] = None) -> Optional[int]:
-        node = check_node_index(node, self._graph.num_nodes)
-        generator = rng if rng is not None else self._rng
-        level = self.sample_level(generator)
-        radius = 1 << level  # 2^k
-        dist = self._distances_from(node)
-        members = np.nonzero((dist != UNREACHABLE) & (dist <= radius))[0]
-        if members.size == 0:
-            return None
-        return int(members[generator.integers(0, members.size)])
-
     def _ball_profile(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
         """Sorted distance profile of *node*: ``(sorted distances, node ids)``.
 
@@ -223,58 +206,29 @@ class BallScheme(AugmentationScheme):
         _, evicted = self._profiles.popitem(last=False)
         self._profile_bytes -= evicted[0].nbytes + evicted[1].nbytes
 
-    def sample_contacts(
-        self, nodes: np.ndarray, rng: Optional[np.random.Generator] = None
-    ) -> np.ndarray:
-        """Batched ball sampling: one level draw + one ball pick per entry.
-
-        The distinct nodes of the batch are prefetched through the oracle in a
-        single batched frontier sweep (instead of one BFS per first visit),
-        then each entry draws its level and picks uniformly inside
-        ``B(node, 2^k)`` via the node's sorted distance profile.
-        """
-        if not self._batch_matches_scalar(BallScheme):
-            return super().sample_contacts(nodes, rng)
-        generator = rng if rng is not None else self._rng
-        nodes = self._coerce_batch(nodes)
-        if nodes.size == 0:
-            return np.full(nodes.shape, NO_CONTACT, dtype=np.int64)
-        flat = nodes.reshape(-1)
-        out = np.full(flat.shape, NO_CONTACT, dtype=np.int64)
-        levels = (
-            np.searchsorted(self._level_cumulative, generator.random(flat.size), side="right")
-            + 1
-        )
-        # 2^k, clamped: any radius >= n already covers the whole component.
-        radii = np.int64(1) << np.minimum(levels, 62).astype(np.int64)
-        uniq, inverse = np.unique(flat, return_inverse=True)
-        self._oracle.prefetch_query(uniq.tolist())
-        for j, node in enumerate(uniq.tolist()):
-            lanes = np.nonzero(inverse == j)[0]
-            sorted_d, ids = self._ball_profile(int(node))
-            counts = np.searchsorted(sorted_d, radii[lanes], side="right")
-            picks = (generator.random(lanes.size) * counts).astype(np.int64)
-            nonempty = counts > 0
-            out[lanes[nonempty]] = ids[picks[nonempty]]
-        return out.reshape(nodes.shape)
+    # Bound in this class's own __dict__, not only inherited: the layer
+    # tracer (perfbench/tracer.py) wraps ``Class.__dict__["sample_contacts"]``.
+    sample_contacts = AugmentationScheme.sample_contacts
 
     def sample_contacts_from_uniforms(
         self, nodes: np.ndarray, uniforms: np.ndarray
     ) -> np.ndarray:
         """Entry-pure ball sampling: ``uniforms[0]`` → level, ``uniforms[1]`` → member.
 
-        Mirrors :meth:`sample_contacts` draw-for-draw but each entry consumes
-        only its own two uniforms, so the pick is a pure function of
-        ``(nodes[i], uniforms[:, i])`` (the batch-invariance contract).
+        The distinct nodes of the batch are prefetched through the oracle in
+        one batched frontier sweep (instead of one BFS per first visit);
+        then each entry draws its level ``k`` by inverse CDF and picks
+        uniformly inside ``B(node, 2^k)`` via the node's sorted distance
+        profile.  Each entry consumes only its own two uniforms (the
+        batch-invariance contract).
         """
-        if not self._batch_matches_scalar(BallScheme):
-            return super().sample_contacts_from_uniforms(nodes, uniforms)
         nodes = self._coerce_batch(nodes)
         uniforms = self._coerce_uniforms(nodes, uniforms)
         if nodes.size == 0:
             return np.full(nodes.shape, NO_CONTACT, dtype=np.int64)
         out = np.full(nodes.shape, NO_CONTACT, dtype=np.int64)
         levels = np.searchsorted(self._level_cumulative, uniforms[0], side="right") + 1
+        # 2^k, clamped: any radius >= n already covers the whole component.
         radii = np.int64(1) << np.minimum(levels, 62).astype(np.int64)
         uniq, inverse = np.unique(nodes, return_inverse=True)
         self._oracle.prefetch_query(uniq.tolist())

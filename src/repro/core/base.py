@@ -5,26 +5,23 @@ drawn from a per-node probability distribution ``φ_u``.  Greedy routing then
 treats that link exactly like a local edge when comparing distances to the
 target.  Two usage modes are supported:
 
-* **lazy sampling** — the routing simulator asks the scheme for node ``u``'s
-  contact only when the route actually visits ``u`` (and memoises it for the
-  duration of one trial).  This is statistically identical to sampling every
-  link upfront because the links are independent, and it is what makes large
-  Monte-Carlo sweeps affordable.
+* **lazy sampling** — the routing engine asks the scheme for a node's
+  contact only when a route actually visits it.  This is statistically
+  identical to sampling every link upfront because the links are
+  independent, and it is what makes large Monte-Carlo sweeps affordable.
 * **eager sampling** — :class:`AugmentedGraph` materialises one contact per
   node, which is convenient for inspection, examples and tests.
 
-Since the lane-engine PR the lazy mode has a *batched* spelling:
-:meth:`AugmentationScheme.sample_contacts` draws the contacts of a whole
-array of nodes in one call (duplicates allowed — each occurrence is an
-independent draw, which is what the step-synchronous routing engine in
-:mod:`repro.routing.engine` needs when many Monte-Carlo lanes sit on the same
-node).  The base class provides a scalar fallback so every scheme supports the
-API; the built-in schemes override it with native vectorized samplers
-(inverse-CDF / ``searchsorted`` over their cached distributions).  Overrides
-must preserve the contract that each entry is an independent draw from
-``φ_{nodes[i]}`` — they are free to consume the generator differently from the
-scalar path (batched and scalar streams are *statistically* equivalent, not
-bitwise).
+Every scheme has **one** sampling primitive,
+:meth:`AugmentationScheme.sample_contacts_from_uniforms`: it maps a batch of
+nodes plus ``uniforms_per_contact`` caller-supplied uniforms per entry to one
+contact per entry, and entry ``i`` is a pure function of ``(nodes[i],
+uniforms[:, i])``.  The routing engine feeds it counter-based uniforms
+(:func:`repro.utils.counterrng.lane_step_uniforms`), so a lane's trajectory
+does not depend on which other lanes share its batch.  The generator-driven
+spellings :meth:`~AugmentationScheme.sample_contact` and
+:meth:`~AugmentationScheme.sample_contacts` are derived from it here, by
+passing it ``rng.random((uniforms_per_contact, m))``.
 """
 
 from __future__ import annotations
@@ -48,9 +45,10 @@ NO_CONTACT: int = -1
 class AugmentationScheme(abc.ABC):
     """A collection of probability distributions ``φ = {φ_u}`` over contacts.
 
-    Subclasses implement :meth:`sample_contact` and, when the distribution is
-    cheap to write down, :meth:`contact_distribution` (used by the tests to
-    check the sampler against the exact probabilities).
+    Subclasses implement :meth:`sample_contacts_from_uniforms` and set
+    :attr:`uniforms_per_contact`; when the distribution is cheap to write
+    down they also implement :meth:`contact_distribution` (used by the tests
+    to check the sampler against the exact probabilities).
     """
 
     #: short machine-readable identifier used in experiment reports.
@@ -58,8 +56,7 @@ class AugmentationScheme(abc.ABC):
 
     #: Number of uniform variates one contact draw consumes in
     #: :meth:`sample_contacts_from_uniforms` (bounded by
-    #: :data:`repro.utils.counterrng.MAX_UNIFORM_ROWS`).  Native overrides
-    #: set it to match their sampler's consumption pattern.
+    #: :data:`repro.utils.counterrng.MAX_UNIFORM_ROWS`).
     uniforms_per_contact: int = 1
 
     def __init__(self, graph: Graph, *, seed: RngLike = None) -> None:
@@ -78,12 +75,49 @@ class AugmentationScheme(abc.ABC):
         return self._graph
 
     @abc.abstractmethod
+    def sample_contacts_from_uniforms(
+        self, nodes: np.ndarray, uniforms: np.ndarray
+    ) -> np.ndarray:
+        """Draw one contact per entry of *nodes* from caller-supplied uniforms.
+
+        *nodes* is a 1-D batch (duplicates allowed) and *uniforms* has shape
+        ``(uniforms_per_contact, len(nodes))`` with values in ``[0, 1)``.
+        Returns an ``int64`` array aligned with *nodes*, where
+        ``NO_CONTACT`` marks entries that drew no long-range link (allowed
+        by Definition 1 for sub-stochastic rows).
+
+        Entry ``i`` must be a **pure function of** ``(nodes[i],
+        uniforms[:, i])``, independent of every other entry — the
+        *batch-invariance contract* the routing engine's counter-seeded
+        lanes rely on.  For i.i.d. uniform inputs each entry is one draw
+        from ``φ_{nodes[i]}``.
+        """
+
+    def sample_contacts(
+        self, nodes: np.ndarray, rng: Optional[np.random.Generator] = None
+    ) -> np.ndarray:
+        """Draw one independent contact per entry of *nodes* from a generator.
+
+        Derived from :meth:`sample_contacts_from_uniforms`: the batch (any
+        shape, flattened in C order) consumes ``rng.random((uniforms_per_contact,
+        m))`` for its ``m`` entries, so the result is bitwise the primitive's
+        on those uniforms.  The output has the shape of *nodes*.
+        """
+        generator = rng if rng is not None else self._rng
+        nodes = self._coerce_batch(nodes)
+        flat = nodes.reshape(-1)
+        uniforms = generator.random((type(self).uniforms_per_contact, flat.size))
+        return self.sample_contacts_from_uniforms(flat, uniforms).reshape(nodes.shape)
+
     def sample_contact(self, node: int, rng: Optional[np.random.Generator] = None) -> Optional[int]:
         """Draw the long-range contact of *node* from ``φ_node``.
 
-        Returns ``None`` when the node gets no long-range link (allowed by
-        Definition 1 for sub-stochastic rows).
+        A one-entry :meth:`sample_contacts`; returns ``None`` when the node
+        gets no long-range link.
         """
+        node = check_node_index(node, self._graph.num_nodes)
+        contact = int(self.sample_contacts(np.array([node], dtype=np.int64), rng)[0])
+        return None if contact == NO_CONTACT else contact
 
     def contact_distribution(self, node: int) -> np.ndarray:
         """Exact distribution ``φ_node`` as a dense array of length ``n``.
@@ -95,62 +129,6 @@ class AugmentationScheme(abc.ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not expose an explicit contact distribution"
         )
-
-    def sample_contacts(
-        self, nodes: np.ndarray, rng: Optional[np.random.Generator] = None
-    ) -> np.ndarray:
-        """Draw one independent contact per entry of *nodes* (batched sampling).
-
-        Returns an ``int64`` array aligned with *nodes* where ``NO_CONTACT``
-        marks entries that drew no long-range link.  Duplicate nodes are
-        allowed and each occurrence is an independent draw — the routing
-        engine's lanes frequently share a current node.
-
-        The base implementation falls back to one :meth:`sample_contact` call
-        per entry; subclasses override it with vectorized samplers.  Batched
-        and scalar sampling consume the generator differently, so the two
-        spellings agree in distribution but not draw-for-draw.
-        """
-        generator = rng if rng is not None else self._rng
-        nodes = np.ascontiguousarray(nodes, dtype=np.int64)
-        out = np.full(nodes.shape, NO_CONTACT, dtype=np.int64)
-        flat = out.reshape(-1)
-        for i, u in enumerate(nodes.reshape(-1).tolist()):
-            contact = self.sample_contact(int(u), generator)
-            if contact is not None:
-                flat[i] = int(contact)
-        return out
-
-    def sample_contacts_from_uniforms(
-        self, nodes: np.ndarray, uniforms: np.ndarray
-    ) -> np.ndarray:
-        """Draw one contact per entry of *nodes* from caller-supplied uniforms.
-
-        *uniforms* has shape ``(uniforms_per_contact, len(nodes))`` with
-        values in ``[0, 1)``; entry ``i`` must be sampled as a **pure
-        function of** ``(nodes[i], uniforms[:, i])``, independent of every
-        other entry.  That per-entry purity is the *batch-invariance
-        contract*: feed counter-based uniforms
-        (:func:`repro.utils.counterrng.lane_step_uniforms`) and a lane's
-        trajectory no longer depends on which other lanes share its batch —
-        the property the serve layer's micro-batching relies on.
-
-        For uniforms drawn uniformly the result is distributed as
-        :meth:`sample_contact`.  Native overrides mirror each scheme's
-        batched sampler; this base fallback seeds one tiny ``Generator`` per
-        entry from its first uniform and delegates to the scalar sampler, so
-        subclasses that only override :meth:`sample_contact` stay correct
-        (equal in distribution, entry-pure) at scalar-loop speed.
-        """
-        nodes = self._coerce_batch(nodes)
-        uniforms = self._coerce_uniforms(nodes, uniforms)
-        out = np.full(nodes.shape, NO_CONTACT, dtype=np.int64)
-        for i, u in enumerate(nodes.tolist()):
-            entry_rng = np.random.default_rng(int(uniforms[0, i] * 2.0**53))
-            contact = self.sample_contact(int(u), entry_rng)
-            if contact is not None:
-                out[i] = int(contact)
-        return out
 
     def _coerce_uniforms(self, nodes: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """Validate a ``(uniforms_per_contact, len(nodes))`` uniform block."""
@@ -166,7 +144,7 @@ class AugmentationScheme(abc.ABC):
         return uniforms
 
     def _coerce_batch(self, nodes: np.ndarray) -> np.ndarray:
-        """Validate a batch of node indices for the native vectorized samplers.
+        """Validate a batch of node indices for the vectorized samplers.
 
         Returns the batch as a contiguous ``int64`` array of the original
         shape; raises ``IndexError`` on out-of-range entries.
@@ -176,18 +154,6 @@ class AugmentationScheme(abc.ABC):
             raise IndexError("node index out of range")
         return nodes
 
-    def _batch_matches_scalar(self, cls: type) -> bool:
-        """Whether *cls*'s native batched sampler still describes this scheme.
-
-        A subclass that overrides :meth:`sample_contact` (to change the
-        distribution) without also overriding :meth:`sample_contacts` must not
-        inherit the parent's vectorized sampler — it samples the *parent's*
-        distribution.  Native implementations call this guard and fall back to
-        the scalar loop (which honours the override) when the scalar sampler
-        is no longer *cls*'s own.
-        """
-        return type(self).sample_contact is cls.sample_contact
-
     # ------------------------------------------------------------------ #
     # Convenience helpers
     # ------------------------------------------------------------------ #
@@ -195,14 +161,8 @@ class AugmentationScheme(abc.ABC):
     def sample_all_contacts(self, rng: RngLike = None) -> np.ndarray:
         """Sample one contact per node; entries are node ids or ``NO_CONTACT``.
 
-        Delegates to :meth:`sample_contacts` over ``arange(n)``, so schemes
-        with native vectorized samplers serve :meth:`AugmentedGraph.from_scheme`
-        and :func:`repro.routing.engine.materialize_contact_table` callers
-        through the batched path instead of one Python round-trip per node.
-        (For schemes on the scalar fallback this is draw-for-draw identical
-        to the historical per-node loop; native samplers consume the
-        generator differently — equal in distribution, as per the batched
-        sampling contract.)
+        One :meth:`sample_contacts` call over ``arange(n)`` — the eager path
+        behind :meth:`AugmentedGraph.from_scheme`.
         """
         generator = ensure_rng(rng) if rng is not None else self._rng
         nodes = np.arange(self._graph.num_nodes, dtype=np.int64)

@@ -15,7 +15,7 @@ drawn with ``φ_u(v) ∝ dist(u, v)^{-r}`` for ``v ≠ u``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -78,55 +78,20 @@ class DistancePowerScheme(AugmentationScheme):
             self._cumulative[node] = cumulative
         return cumulative
 
-    def sample_contact(self, node: int, rng: Optional[np.random.Generator] = None) -> Optional[int]:
-        node = check_node_index(node, self._graph.num_nodes)
-        generator = rng if rng is not None else self._rng
-        probs = self._probabilities(node)
-        if probs.sum() <= 0:
-            return None
-        return int(generator.choice(self._graph.num_nodes, p=probs))
-
-    def sample_contacts(
-        self, nodes: np.ndarray, rng: Optional[np.random.Generator] = None
-    ) -> np.ndarray:
-        """Batched inverse-CDF sampling over the cached per-node distributions.
-
-        One ``searchsorted`` into the node's cumulative distribution per group
-        of lanes sharing a node; isolated nodes (zero total mass) draw
-        ``NO_CONTACT``.
-        """
-        if not self._batch_matches_scalar(DistancePowerScheme):
-            return super().sample_contacts(nodes, rng)
-        generator = rng if rng is not None else self._rng
-        nodes = self._coerce_batch(nodes)
-        n = self._graph.num_nodes
-        if nodes.size == 0:
-            return np.full(nodes.shape, NO_CONTACT, dtype=np.int64)
-        flat = nodes.reshape(-1)
-        out = np.full(flat.shape, NO_CONTACT, dtype=np.int64)
-        uniq, inverse = np.unique(flat, return_inverse=True)
-        for j, node in enumerate(uniq.tolist()):
-            lanes = np.nonzero(inverse == j)[0]
-            cumulative = self._cumulative_probabilities(int(node))
-            total = float(cumulative[-1]) if cumulative.size else 0.0
-            draws = generator.random(lanes.size)
-            if total <= 0.0:
-                continue
-            picks = np.searchsorted(cumulative, draws * total, side="right")
-            out[lanes] = np.minimum(picks, n - 1)
-        return out.reshape(nodes.shape)
+    # Bound in this class's own __dict__, not only inherited: the layer
+    # tracer (perfbench/tracer.py) wraps ``Class.__dict__["sample_contacts"]``.
+    sample_contacts = AugmentationScheme.sample_contacts
 
     def sample_contacts_from_uniforms(
         self, nodes: np.ndarray, uniforms: np.ndarray
     ) -> np.ndarray:
-        """Entry-pure inverse-CDF sampling from caller-supplied uniforms.
+        """Entry-pure inverse-CDF sampling over the cached per-node distributions.
 
-        Same ``searchsorted`` as :meth:`sample_contacts`, but entry ``i``'s
-        pick is a pure function of ``(nodes[i], uniforms[0, i])`` — the
-        batch-invariance contract of the base method.
+        One ``searchsorted`` into the node's cumulative distribution per group
+        of entries sharing a node; entry ``i``'s pick is a pure function of
+        ``(nodes[i], uniforms[0, i])``.  Isolated nodes (zero total mass)
+        draw ``NO_CONTACT``.
         """
-        if not self._batch_matches_scalar(DistancePowerScheme):
-            return super().sample_contacts_from_uniforms(nodes, uniforms)
         nodes = self._coerce_batch(nodes)
         uniforms = self._coerce_uniforms(nodes, uniforms)
         n = self._graph.num_nodes

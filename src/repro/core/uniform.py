@@ -14,8 +14,6 @@ Theorem 4's ball scheme is the paper's answer for beating it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.core.base import NO_CONTACT, AugmentationScheme
@@ -39,8 +37,8 @@ class UniformScheme(AugmentationScheme):
         diagonal; the default (``False``) follows the paper (a self-link is
         simply useless for routing).
     seed:
-        Seed for the scheme's internal generator (used when no per-trial
-        generator is supplied to :meth:`sample_contact`).
+        Seed for the scheme's internal generator (used when no generator is
+        supplied to :meth:`sample_contacts`).
     """
 
     scheme_name = "uniform"
@@ -49,40 +47,18 @@ class UniformScheme(AugmentationScheme):
         super().__init__(graph, seed=seed)
         self._exclude_self = bool(exclude_self)
 
-    def sample_contact(self, node: int, rng: Optional[np.random.Generator] = None) -> Optional[int]:
-        node = check_node_index(node, self._graph.num_nodes)
-        generator = rng if rng is not None else self._rng
-        n = self._graph.num_nodes
-        if self._exclude_self:
-            if n == 1:
-                return None
-            contact = int(generator.integers(0, n - 1))
-            return contact if contact < node else contact + 1
-        return int(generator.integers(0, n))
-
-    def sample_contacts(
-        self, nodes: np.ndarray, rng: Optional[np.random.Generator] = None
-    ) -> np.ndarray:
-        """One vectorized draw for the whole batch (uniform over ``n`` nodes)."""
-        if not self._batch_matches_scalar(UniformScheme):
-            return super().sample_contacts(nodes, rng)
-        generator = rng if rng is not None else self._rng
-        nodes = self._coerce_batch(nodes)
-        n = self._graph.num_nodes
-        if self._exclude_self:
-            if n == 1:
-                return np.full(nodes.shape, NO_CONTACT, dtype=np.int64)
-            draws = generator.integers(0, n - 1, size=nodes.shape, dtype=np.int64)
-            # Shift draws at or above the excluded index, as in sample_contact.
-            return draws + (draws >= nodes)
-        return generator.integers(0, n, size=nodes.shape, dtype=np.int64)
+    # Bound in this class's own __dict__, not only inherited: the layer
+    # tracer (perfbench/tracer.py) wraps ``Class.__dict__["sample_contacts"]``.
+    sample_contacts = AugmentationScheme.sample_contacts
 
     def sample_contacts_from_uniforms(
         self, nodes: np.ndarray, uniforms: np.ndarray
     ) -> np.ndarray:
-        """Inverse-CDF of the uniform draw: ``⌊u·n⌋`` (entry-pure, see base)."""
-        if not self._batch_matches_scalar(UniformScheme):
-            return super().sample_contacts_from_uniforms(nodes, uniforms)
+        """Inverse-CDF of the uniform draw: ``⌊u·n⌋`` (entry-pure, see base).
+
+        With ``exclude_self`` the draw is ``⌊u·(n-1)⌋``, shifted past the
+        excluded source index.
+        """
         nodes = self._coerce_batch(nodes)
         uniforms = self._coerce_uniforms(nodes, uniforms)
         n = self._graph.num_nodes

@@ -205,9 +205,8 @@ def route_point(
     when given (the per-*instance* seed, so every scheme and every experiment
     measured on one graph instance routes the identical pair set and reuses
     its BFS arrays).  Either way the shared *oracle* serves every distance
-    array (and, under the default lane engine, the precomputed per-target
-    ``next_local`` hop tables), and ``config.engine`` selects the Monte-Carlo
-    engine.
+    array and the precomputed per-target ``next_local`` hop tables of the
+    lane engine.
     """
     if pairs is not None:
         estimate: RoutingEstimate = estimate_expected_steps(
@@ -217,7 +216,6 @@ def route_point(
             trials=config.trials,
             seed=seed,
             oracle=oracle,
-            engine=config.engine,
         )
     else:
         estimate = estimate_greedy_diameter(
@@ -228,7 +226,6 @@ def route_point(
             seed=seed,
             pair_strategy=config.pair_strategy,
             oracle=oracle,
-            engine=config.engine,
             pair_seed=pair_seed,
         )
     return {

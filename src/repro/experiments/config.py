@@ -26,12 +26,6 @@ class ExperimentConfig:
         ``"extremal"`` (greedy-diameter biased) or ``"uniform"``.
     max_size:
         Optional cap applied to ``sizes`` (used by the quick benchmark runs).
-    engine:
-        Routing engine driving the Monte-Carlo trials: ``"lane"`` (default,
-        the vectorized step-synchronous engine) or ``"scalar"`` (the
-        per-route reference loop).  Part of the artifact fingerprint: the two
-        engines are statistically equivalent but draw different random
-        streams, so their cells must not be mixed silently on ``--resume``.
     distance_mode:
         Distance provider every instance oracle uses: ``"exact"`` (default;
         plain BFS oracle) or ``"landmark"`` (pivot sketch for bulk queries,
@@ -50,7 +44,6 @@ class ExperimentConfig:
     seed: int = 20070610  # SPAA 2007 submission vintage
     pair_strategy: str = "extremal"
     max_size: Optional[int] = None
-    engine: str = "lane"
     distance_mode: str = "exact"
     landmarks: int = 16
 

@@ -100,7 +100,7 @@ def next_local_pointers(
     on ``dist[u]``; otherwise ``-1`` (no improving hop: ``u`` is the target or
     unreachable).  This reproduces exactly the local candidate
     :func:`repro.routing.greedy.greedy_route` selects with its strict ``<``
-    scan, so the lane engine's precomputed hop table and the scalar reference
+    scan, so the lane engine's precomputed hop table and ``greedy_route``
     walk identical trajectories.
 
     *dist* must be a genuine BFS distance array (``UNREACHABLE`` outside the

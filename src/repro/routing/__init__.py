@@ -8,17 +8,16 @@ target according to the distance in the underlying graph ``G``.
 ``E(φ, s, t)`` is the expected number of steps over the random long-range
 links and ``diam(G, φ) = max_{s,t} E(φ, s, t)`` is the greedy diameter; the
 simulator estimates both by Monte-Carlo over sampled pairs and trials, with
-the long-range links re-sampled lazily per trial.
+the long-range links re-sampled lazily per trial on the lane engine.
 """
 
 from repro.routing.greedy import greedy_route, RouteResult
-from repro.routing.engine import LaneBatchResult, materialize_contact_table, route_lanes
+from repro.routing.engine import LaneBatchResult, route_lanes
 from repro.routing.simulator import (
     estimate_expected_steps,
     estimate_greedy_diameter,
     PairEstimate,
     RoutingEstimate,
-    ROUTING_ENGINES,
 )
 from repro.routing.sampling import uniform_pairs, extremal_pairs, all_pairs
 from repro.routing.statistics import summarize, SummaryStats
@@ -28,12 +27,10 @@ __all__ = [
     "RouteResult",
     "LaneBatchResult",
     "route_lanes",
-    "materialize_contact_table",
     "estimate_expected_steps",
     "estimate_greedy_diameter",
     "PairEstimate",
     "RoutingEstimate",
-    "ROUTING_ENGINES",
     "uniform_pairs",
     "extremal_pairs",
     "all_pairs",

@@ -1,12 +1,11 @@
 """Step-synchronous lane engine for Monte-Carlo greedy routing.
 
-The scalar estimator advances one (pair, trial) route one step at a time
-through Python (`greedy_route`), which made the routing phase the last
-scalar hot path after the frontier-BFS PR vectorized every distance
-computation.  This module applies the same level-synchronous trick to the
-routes themselves: every (pair, trial) combination is a **lane** in flat
-numpy state arrays, and one iteration of the engine advances *all* active
-lanes by one greedy step.
+Every (pair, trial) combination is a **lane** in flat numpy state arrays,
+and one iteration of the engine advances *all* active lanes by one greedy
+step — the level-synchronous trick of the frontier BFS, applied to the
+routes themselves.  It is the one routing path: sweeps
+(:func:`repro.routing.simulator.estimate_expected_steps`) and the serve
+layer (:func:`repro.routing.simulator.route_queries`) both run it.
 
 What makes the greedy step fully vectorizable is that, given the distance
 array ``dist_G(·, t)``, the best *local* next hop of every node is
@@ -23,8 +22,10 @@ not once per (experiment, scheme).  A lane step then reduces to elementwise
 numpy arithmetic across thousands of lanes:
 
 1. gather each active lane's current distance and precomputed local hop,
-2. draw every lane's long-range contact in one *batched* call
-   (:meth:`~repro.core.base.AugmentationScheme.sample_contacts`),
+2. draw every lane's long-range contact in one batched call to the scheme's
+   sampling primitive
+   (:meth:`~repro.core.base.AugmentationScheme.sample_contacts_from_uniforms`),
+   fed the lane's counter-based uniforms for this step,
 3. compare the contact's distance against the local hop's (the long link is
    preferred on ties but must strictly improve on the current node — the same
    rule ``greedy_route`` documents),
@@ -32,23 +33,19 @@ numpy arithmetic across thousands of lanes:
 
 Sampling correctness
 --------------------
-The scalar engine memoises each trial's contacts lazily (a node's link is
-drawn on first visit and reused on revisits).  Greedy routing strictly
-decreases the distance to the target at every step, so **a route can never
-revisit a node** — within one trial each node's contact is drawn at most
-once, and drawing a fresh contact per (lane, step) is *exactly* the same
-distribution.  The memoisation table therefore only matters when the caller
-wants reproducible trajectories across engines: :func:`materialize_contact_table`
-builds the lane-indexed table ``contacts[lane, node]`` up front, and both
-engines consume it verbatim — the equivalence tests assert identical step
-counts, long-link counts and success flags per lane, for every registered
-scheme.
+The paper's model draws each node's contact once per trial.  Greedy routing
+strictly decreases the distance to the target at every step, so **a route
+can never revisit a node** — within one trial each node's contact is drawn at
+most once, and drawing a fresh contact per (lane, step) is *exactly* the same
+distribution.
 
-Randomness: the engine consumes one generator for the whole batch (one
-batched draw per step), so its stream differs from the scalar engine's
-per-pair streams.  Given the same seed the engine is deterministic;
-against the scalar engine it is statistically equivalent, not bitwise
-(the seeded parity tests pin this down).
+Randomness: lane ``l`` at step ``s`` consumes the uniforms
+``lane_step_uniforms(lane_seeds[l], s)`` (:mod:`repro.utils.counterrng`), a
+pure hash of its seed and step counter.  A lane's trajectory is therefore a
+function of ``(graph, scheme, lane seed)`` alone — independent of batch
+composition and of lane order.  ``greedy_route`` replaying the same uniforms
+through a contact provider walks the identical route; the tests assert this
+lane by lane for every scheme.
 """
 
 from __future__ import annotations
@@ -63,10 +60,9 @@ from repro.graphs.graph import Graph
 from repro.graphs.oracle import FAR_DISTANCE, DistanceOracle
 from repro.graphs.provider import DistanceProvider
 from repro.utils.counterrng import lane_step_uniforms
-from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int
 
-__all__ = ["LaneBatchResult", "route_lanes", "materialize_contact_table"]
+__all__ = ["LaneBatchResult", "route_lanes"]
 
 #: The oracle's unreachable sentinel (larger than any real distance); the
 #: routing blocks arrive already masked with it.
@@ -78,9 +74,9 @@ class LaneBatchResult:
     """Outcome of one lane-engine batch: ``num_pairs x trials`` routes.
 
     Lane ``l`` is trial ``l % trials`` of pair ``l // trials``.  ``steps``
-    counts edges traversed (partial for failed lanes, exactly like the scalar
-    ``RouteResult``), ``long_links`` how many of them used the long-range
-    contact.
+    counts edges traversed (partial for failed lanes, exactly like
+    :class:`~repro.routing.greedy.RouteResult`), ``long_links`` how many of
+    them used the long-range contact.
     """
 
     steps: np.ndarray
@@ -96,25 +92,6 @@ class LaneBatchResult:
     def pair_lanes(self, pair: int) -> slice:
         """Slice selecting the lanes of *pair* (its trials, in order)."""
         return slice(pair * self.trials, (pair + 1) * self.trials)
-
-
-def materialize_contact_table(
-    scheme: AugmentationScheme, num_lanes: int, rng: RngLike = None
-) -> np.ndarray:
-    """Eagerly sample a full ``(num_lanes, n)`` lane-indexed contact table.
-
-    Row ``l`` is one independent draw of every node's long-range link — the
-    links trial ``l`` would reveal lazily.  Feeding the same table to the lane
-    engine and to the scalar reference makes their trajectories identical,
-    which is how the equivalence tests pin the engines to each other.  (At
-    ``O(num_lanes * n)`` memory this is for tests and small graphs; the
-    engine's default lazy path samples only the nodes routes actually visit.)
-    """
-    num_lanes = check_positive_int(num_lanes, "num_lanes")
-    generator = ensure_rng(rng)
-    n = scheme.graph.num_nodes
-    nodes = np.broadcast_to(np.arange(n, dtype=np.int64), (num_lanes, n))
-    return scheme.sample_contacts(nodes, generator)
 
 
 def _as_pair_arrays(
@@ -135,11 +112,9 @@ def route_lanes(
     pairs: Sequence[Tuple[int, int]],
     *,
     trials: int,
-    seed: RngLike = None,
+    lane_seeds: np.ndarray,
     max_steps: Optional[int] = None,
     oracle: Optional[DistanceProvider] = None,
-    contact_table: Optional[np.ndarray] = None,
-    lane_seeds: Optional[np.ndarray] = None,
     blocks: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> LaneBatchResult:
     """Route ``len(pairs) * trials`` greedy lanes step-synchronously.
@@ -153,8 +128,13 @@ def route_lanes(
         ``l // trials``.
     trials:
         Independent long-link samplings per pair (lanes per pair).
-    seed:
-        Seed / generator for the whole batch (one stream, batched draws).
+    lane_seeds:
+        ``uint64`` array of ``num_lanes`` per-lane seeds.  The contacts lane
+        ``l`` draws at step ``s`` are a pure hash of ``(lane_seeds[l], s)``
+        (:func:`repro.utils.counterrng.lane_step_uniforms` feeding
+        :meth:`~repro.core.base.AugmentationScheme.sample_contacts_from_uniforms`),
+        so the lane's trajectory depends only on ``(graph, scheme, seed)`` —
+        **not** on which other lanes share the batch.
     max_steps:
         Per-route step budget, as in :func:`~repro.routing.greedy.greedy_route`
         (default ``n``).  Without an explicit budget a failed lane means
@@ -165,21 +145,6 @@ def route_lanes(
         its *exact tier* — greedy's strict-``<`` comparisons need genuine BFS
         rows in every ``distance_mode`` (a private exact oracle is created
         when omitted).
-    contact_table:
-        Optional materialized ``(num_lanes, n)`` table from
-        :func:`materialize_contact_table`; lane ``l`` at node ``u`` then uses
-        ``contact_table[l, u]`` instead of drawing fresh contacts — the
-        reproducible-trajectory mode of the equivalence contract.
-    lane_seeds:
-        Optional ``uint64`` array of ``num_lanes`` per-lane seeds switching
-        the engine to **counter-based sampling**: the contacts lane ``l``
-        draws at step ``s`` are a pure hash of ``(lane_seeds[l], s)``
-        (:func:`repro.utils.counterrng.lane_step_uniforms` feeding
-        :meth:`~repro.core.base.AugmentationScheme.sample_contacts_from_uniforms`),
-        so the lane's trajectory depends only on ``(graph, scheme, seed)`` —
-        **not** on which other lanes share the batch.  This is the serve
-        layer's trajectory-identity mode; mutually exclusive with
-        ``contact_table`` (and ``seed`` is then unused).
     blocks:
         Optional pre-resolved ``(dist_block, next_local_block, pair_rows)``
         triple: ``pair_rows[i]`` is the block row holding pair ``i``'s
@@ -202,21 +167,10 @@ def route_lanes(
     num_pairs = len(pairs)
     num_lanes = num_pairs * trials
     sources, targets = _as_pair_arrays(graph, pairs)
-    if contact_table is not None:
-        if lane_seeds is not None:
-            raise ValueError("contact_table and lane_seeds are mutually exclusive")
-        contact_table = np.asarray(contact_table, dtype=np.int64)
-        if contact_table.shape != (num_lanes, n):
-            raise ValueError(
-                f"contact_table must have shape (num_lanes, n) = ({num_lanes}, {n})"
-            )
-    if lane_seeds is not None:
-        lane_seeds = np.ascontiguousarray(lane_seeds, dtype=np.uint64)
-        if lane_seeds.shape != (num_lanes,):
-            raise ValueError(
-                f"lane_seeds must have shape (num_lanes,) = ({num_lanes},)"
-            )
-        uniform_rows = max(1, int(type(scheme).uniforms_per_contact))
+    seeds = np.ascontiguousarray(lane_seeds, dtype=np.uint64)
+    if seeds.shape != (num_lanes,):
+        raise ValueError(f"lane_seeds must have shape (num_lanes,) = ({num_lanes},)")
+    uniform_rows = max(1, int(type(scheme).uniforms_per_contact))
 
     # Per-pair distance rows (sentinel-masked) and local-hop tables, all
     # through the shared oracle: one batched frontier sweep for the missing
@@ -264,17 +218,13 @@ def route_lanes(
     tgt = np.repeat(targets, trials)
     spent = np.zeros(num_lanes, dtype=np.int64)
     used = np.zeros(num_lanes, dtype=np.int64)
-    seeds = lane_seeds  # compacted alongside the lane state (or None)
     arrived = cur == tgt  # degenerate (s == t) lanes arrive in 0 steps
     if np.any(arrived):
         success[ids[arrived]] = True
         keep = ~arrived
-        ids, base, cur, tgt, spent, used = (
-            a[keep] for a in (ids, base, cur, tgt, spent, used)
+        ids, base, cur, tgt, spent, used, seeds = (
+            a[keep] for a in (ids, base, cur, tgt, spent, used, seeds)
         )
-        if seeds is not None:
-            seeds = seeds[keep]
-    generator = ensure_rng(seed)
     budget = n if max_steps is None else int(max_steps)
 
     while ids.size:
@@ -286,23 +236,16 @@ def route_lanes(
             steps[ids[failed]] = spent[failed]
             long_links[ids[failed]] = used[failed]
             keep = ~failed
-            ids, base, cur, tgt, spent, used = (
-                a[keep] for a in (ids, base, cur, tgt, spent, used)
+            ids, base, cur, tgt, spent, used, seeds = (
+                a[keep] for a in (ids, base, cur, tgt, spent, used, seeds)
             )
-            if seeds is not None:
-                seeds = seeds[keep]
             if not ids.size:
                 break
         keys = base + cur
         dist_cur = flat_dist.take(keys)
         local_hop = flat_local.take(keys)
-        if contact_table is not None:
-            contacts = contact_table[ids, cur]
-        elif seeds is not None:
-            uniforms = lane_step_uniforms(seeds, spent, uniform_rows)
-            contacts = scheme.sample_contacts_from_uniforms(cur, uniforms)
-        else:
-            contacts = scheme.sample_contacts(cur, generator)
+        uniforms = lane_step_uniforms(seeds, spent, uniform_rows)
+        contacts = scheme.sample_contacts_from_uniforms(cur, uniforms)
         valid = (contacts != NO_CONTACT) & (contacts != cur)
         has_local = local_hop >= 0
         dist_local = np.where(
@@ -324,11 +267,9 @@ def route_lanes(
             stuck = ~moved
             steps[ids[stuck]] = spent[stuck]
             long_links[ids[stuck]] = used[stuck]
-            ids, base, cur, tgt, spent, used, hop, use_long = (
-                a[moved] for a in (ids, base, cur, tgt, spent, used, hop, use_long)
+            ids, base, cur, tgt, spent, used, seeds, hop, use_long = (
+                a[moved] for a in (ids, base, cur, tgt, spent, used, seeds, hop, use_long)
             )
-            if seeds is not None:
-                seeds = seeds[moved]
         cur = hop
         spent = spent + 1
         used = used + use_long
@@ -339,11 +280,9 @@ def route_lanes(
             steps[done] = spent[at_target]
             long_links[done] = used[at_target]
             keep = ~at_target
-            ids, base, cur, tgt, spent, used = (
-                a[keep] for a in (ids, base, cur, tgt, spent, used)
+            ids, base, cur, tgt, spent, used, seeds = (
+                a[keep] for a in (ids, base, cur, tgt, spent, used, seeds)
             )
-            if seeds is not None:
-                seeds = seeds[keep]
 
     if max_steps is None and not np.all(success):
         bad_lane = int(np.nonzero(~success)[0][0])

@@ -12,6 +12,10 @@ other nodes' long-range links.  Because ``G`` is connected, some local
 neighbour is strictly closer to ``t`` than ``u``, so the distance to the
 target strictly decreases every step and the route always terminates within
 ``dist_G(s, t) ≤ n`` steps — the long-range links can only shorten it.
+
+:func:`greedy_route` walks one route in plain Python.  Estimates and served
+queries run on the vectorized lane engine instead
+(:mod:`repro.routing.engine`); this function is its readable reference.
 """
 
 from __future__ import annotations
@@ -86,8 +90,11 @@ def greedy_route(
     source, target:
         Endpoints; *target* must be reachable from *source*.
     contact_of:
-        Provider of long-range contacts for this trial (typically a memoising
-        closure around ``scheme.sample_contact``).
+        Provider of long-range contacts for this trial, called once per step
+        with the current node.  A provider that replays a lane's counter
+        uniforms through ``scheme.sample_contacts_from_uniforms`` makes this
+        route step-for-step the lane engine's
+        (:func:`repro.routing.engine.route_lanes`).
     max_steps:
         Safety bound (default ``n``); exceeded only if the inputs are
         inconsistent.

@@ -14,22 +14,13 @@ deterministic).  The estimator therefore:
 3. averages the step counts over trials, and per experiment aggregates over a
    set of pairs (mean = average-case cost, max = greedy-diameter estimate).
 
-Two interchangeable engines drive step 2:
-
-* ``engine="lane"`` (default) — the step-synchronous lane engine of
-  :mod:`repro.routing.engine`: every (pair, trial) is a lane in flat numpy
-  state arrays and each iteration advances all active lanes at once, with
-  contacts drawn in one batched
-  :meth:`~repro.core.base.AugmentationScheme.sample_contacts` call per step.
-* ``engine="scalar"`` — the historical per-route Python loop over
-  :func:`~repro.routing.greedy.greedy_route`, kept as the readable reference
-  implementation and for the equivalence tests.
-
-The engines walk identical trajectories when fed the same materialized
-contact table (see :func:`repro.routing.engine.materialize_contact_table`;
-asserted per lane for every registered scheme) and are statistically
-equivalent — not bitwise, their generator streams differ — on the default
-lazy-sampling path.
+Step 2 runs on the step-synchronous lane engine of
+:mod:`repro.routing.engine`, the same path the serve layer's
+:func:`route_queries` uses: every (pair, trial) is a lane with its own
+counter-based seed, derived from the estimate's integer seed and the lane
+index (:func:`repro.utils.counterrng.lane_seeds`).  Each lane's outcome is
+thus a pure function of ``(graph, scheme, seed, lane index)`` — routing a
+prefix of the pairs reproduces the first lanes of the full estimate.
 
 Truncated trials (routes that hit ``max_steps`` before reaching the target)
 are *excluded* from the step averages and counted in
@@ -46,30 +37,25 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import NO_CONTACT, AugmentationScheme
+from repro.core.base import AugmentationScheme
 from repro.graphs.graph import Graph
 from repro.graphs.oracle import FAR_DISTANCE, DistanceOracle
 from repro.graphs.provider import DistanceProvider
 from repro.routing.engine import route_lanes
-from repro.routing.greedy import greedy_route
 from repro.routing.sampling import extremal_pairs, uniform_pairs
 from repro.routing.statistics import SummaryStats, summarize
-from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
+from repro.utils.counterrng import lane_seeds
+from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int
 
 __all__ = [
     "PairEstimate",
     "QueryOutcome",
     "RoutingEstimate",
-    "ROUTING_ENGINES",
     "estimate_expected_steps",
     "estimate_greedy_diameter",
     "route_queries",
 ]
-
-#: Engines accepted by the ``engine=`` keyword (and the CLI ``--engine``).
-ROUTING_ENGINES: Tuple[str, ...] = ("lane", "scalar")
-
 
 @dataclass(frozen=True)
 class PairEstimate:
@@ -145,8 +131,8 @@ class QueryOutcome:
 
     The trajectory behind ``steps``/``success``/``long_links`` is a pure
     function of ``(graph, scheme, seed)`` — counter-based lane sampling, see
-    :func:`repro.routing.engine.route_lanes`'s ``lane_seeds`` mode — so the
-    same query returns the same outcome no matter how it was batched.
+    :func:`repro.routing.engine.route_lanes` — so the same query returns the
+    same outcome no matter how it was batched.
     Malformed or unroutable queries set ``error`` instead of raising: a
     service must answer every query it accepted.
     """
@@ -230,7 +216,7 @@ def route_queries(
                 routable.append(i)
         if routable:
             pairs = [(queries[i][0], queries[i][1]) for i in routable]
-            lane_seeds = np.asarray(
+            query_seeds = np.asarray(
                 [queries[i][2] for i in routable], dtype=np.uint64
             )
             pair_rows = np.asarray([rows[i] for i in routable], dtype=np.int64)
@@ -241,7 +227,7 @@ def route_queries(
                 trials=1,
                 max_steps=n if max_steps is None else max_steps,
                 oracle=oracle,
-                lane_seeds=lane_seeds,
+                lane_seeds=query_seeds,
                 blocks=(dist_block, next_local_block, pair_rows),
             )
             for lane, i in enumerate(routable):
@@ -258,66 +244,6 @@ def route_queries(
     return outcomes  # type: ignore[return-value]
 
 
-def _route_trials(
-    graph: Graph,
-    scheme: AugmentationScheme,
-    source: int,
-    target: int,
-    dist_to_target: np.ndarray,
-    trials: int,
-    rng: np.random.Generator,
-    max_steps: Optional[int],
-) -> Tuple[List[int], int, int, int]:
-    """Run *trials* independent routes for one pair (the scalar engine).
-
-    Returns ``(successful step counts, failed trials, long links, total links)``.
-
-    Contact memoisation is hoisted out of the trial loop into two reusable
-    arrays keyed by (trial, node): ``contact_stamp[u]`` records the last trial
-    that sampled ``u`` (so no per-trial dict or closure is allocated, and no
-    O(n) reset is paid between trials) and ``contact_cache[u]`` holds that
-    trial's draw.
-    """
-    steps: List[int] = []
-    failures = 0
-    long_links = 0
-    total_links = 0
-    n = graph.num_nodes
-    contact_stamp = np.zeros(n, dtype=np.int64)  # 0 = never sampled
-    contact_cache = np.full(n, NO_CONTACT, dtype=np.int64)
-    trial_id = 0
-
-    def contact_of(u: int) -> Optional[int]:
-        if contact_stamp[u] != trial_id:
-            contact_stamp[u] = trial_id
-            sampled = scheme.sample_contact(u, rng)
-            contact_cache[u] = NO_CONTACT if sampled is None else sampled
-        cached = contact_cache[u]
-        return None if cached == NO_CONTACT else int(cached)
-
-    for trial_id in range(1, trials + 1):
-        result = greedy_route(
-            graph,
-            dist_to_target,
-            source,
-            target,
-            contact_of,
-            max_steps=max_steps,
-        )
-        if result.success:
-            steps.append(result.steps)
-        else:
-            if max_steps is None:
-                raise RuntimeError(
-                    f"greedy route {source}->{target} failed without a max_steps budget; "
-                    "the distance array and graph are inconsistent"
-                )
-            failures += 1
-        long_links += result.long_links_used
-        total_links += result.steps
-    return steps, failures, long_links, total_links
-
-
 def estimate_expected_steps(
     graph: Graph,
     scheme: AugmentationScheme,
@@ -327,7 +253,6 @@ def estimate_expected_steps(
     seed: RngLike = None,
     max_steps: Optional[int] = None,
     oracle: Optional[DistanceProvider] = None,
-    engine: str = "lane",
 ) -> RoutingEstimate:
     """Estimate ``E(φ, s, t)`` for every pair in *pairs* and aggregate.
 
@@ -340,13 +265,14 @@ def estimate_expected_steps(
     trials:
         Independent long-link samplings per pair.
     seed:
-        Experiment-level seed.  The scalar engine derives one stream per pair;
-        the lane engine consumes a single stream with batched draws — both
-        deterministic given the seed, but not bitwise identical to each other.
+        Experiment-level seed.  Lane ``l`` (trial ``l % trials`` of pair
+        ``l // trials``) routes with the counter seed
+        ``lane_seeds(seed, ...)[l]``, a pure function of the integer seed
+        and ``l``.  A generator or ``None`` first draws that integer.
     max_steps:
-        Safety bound forwarded to :func:`greedy_route`.  Trials that exhaust
-        it are counted in ``failed_trials`` and excluded from the means; a
-        pair whose trials *all* fail raises ``ValueError`` (its expected cost
+        Per-route step budget (default ``n``).  Trials that exhaust it are
+        counted in ``failed_trials`` and excluded from the means; a pair
+        whose trials *all* fail raises ``ValueError`` (its expected cost
         cannot be estimated from the budget).
     oracle:
         Optional shared :class:`~repro.graphs.provider.DistanceProvider`
@@ -355,15 +281,7 @@ def estimate_expected_steps(
         (and to :class:`~repro.core.ball_scheme.BallScheme`) to reuse BFS
         work for an entire experiment; by default a private exact oracle is
         created per call.
-    engine:
-        ``"lane"`` (default, the vectorized step-synchronous engine of
-        :mod:`repro.routing.engine`) or ``"scalar"`` (the per-route Python
-        reference loop).
     """
-    if engine not in ROUTING_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from {', '.join(ROUTING_ENGINES)}"
-        )
     if scheme.graph is not graph and not scheme.graph.same_structure(graph):
         raise ValueError("scheme was built for a different graph")
     trials = check_positive_int(trials, "trials")
@@ -374,78 +292,14 @@ def estimate_expected_steps(
         oracle = DistanceOracle(graph)
     elif oracle.graph is not graph and not oracle.graph.same_structure(graph):
         raise ValueError("oracle was built for a different graph")
-    if engine == "lane":
-        return _estimate_lane(graph, scheme, pairs, trials, seed, max_steps, oracle)
-    return _estimate_scalar(graph, scheme, pairs, trials, seed, max_steps, oracle)
-
-
-def _estimate_scalar(
-    graph: Graph,
-    scheme: AugmentationScheme,
-    pairs: List[Tuple[int, int]],
-    trials: int,
-    seed: RngLike,
-    max_steps: Optional[int],
-    oracle: DistanceProvider,
-) -> RoutingEstimate:
-    """The historical per-route loop (``engine="scalar"``)."""
-    rngs = spawn_rngs(seed, len(pairs))
-    oracle.prefetch(target for (_, target) in pairs)
-    estimates: List[PairEstimate] = []
-    all_steps: List[int] = []
-    failed_trials = 0
-    long_links = 0
-    total_links = 0
-    for (source, target), rng in zip(pairs, rngs):
-        dist_to_target = oracle.distances_to(target)
-        steps, pair_failures, pair_long, pair_total = _route_trials(
-            graph, scheme, source, target, dist_to_target, trials, rng, max_steps
-        )
-        if not steps:
-            raise ValueError(
-                f"all {trials} trials for pair ({source}, {target}) exceeded "
-                f"max_steps={max_steps}; raise the budget to estimate this pair"
-            )
-        estimates.append(
-            PairEstimate(
-                source=source,
-                target=target,
-                graph_distance=int(dist_to_target[source]),
-                stats=summarize(steps),
-                failed_trials=pair_failures,
-            )
-        )
-        all_steps.extend(steps)
-        failed_trials += pair_failures
-        long_links += pair_long
-        total_links += pair_total
-    overall = summarize(all_steps)
-    return RoutingEstimate(
-        pairs=estimates,
-        mean=overall.mean,
-        diameter=max(p.mean for p in estimates),
-        trials=trials,
-        long_link_fraction=(long_links / total_links) if total_links else 0.0,
-        failed_trials=failed_trials,
-    )
-
-
-def _estimate_lane(
-    graph: Graph,
-    scheme: AugmentationScheme,
-    pairs: List[Tuple[int, int]],
-    trials: int,
-    seed: RngLike,
-    max_steps: Optional[int],
-    oracle: DistanceProvider,
-) -> RoutingEstimate:
-    """Fold one lane-engine batch into the per-pair estimate structure."""
+    if not isinstance(seed, (int, np.integer)):
+        seed = int(ensure_rng(seed).integers(0, 2**63))
     batch = route_lanes(
         graph,
         scheme,
         pairs,
         trials=trials,
-        seed=seed,
+        lane_seeds=lane_seeds(seed, len(pairs) * trials),
         max_steps=max_steps,
         oracle=oracle,
     )
@@ -493,7 +347,6 @@ def estimate_greedy_diameter(
     pair_strategy: str = "extremal",
     max_steps: Optional[int] = None,
     oracle: Optional[DistanceProvider] = None,
-    engine: str = "lane",
     pair_seed: Optional[int] = None,
 ) -> RoutingEstimate:
     """Estimate the greedy diameter ``diam(G, φ)`` by sampling hard pairs.
@@ -536,5 +389,4 @@ def estimate_greedy_diameter(
         seed=routing_seed,
         max_steps=max_steps,
         oracle=oracle,
-        engine=engine,
     )

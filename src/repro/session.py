@@ -1,4 +1,4 @@
-"""The session facade: one stable entry point over graph + oracle + engines.
+"""The session facade: one stable entry point over graph + oracle + engine.
 
 Programmatic users used to wire a scheme, a :class:`DistanceOracle` (or a
 :class:`GraphStore`), a kernel backend and ``estimate_expected_steps`` by
@@ -321,7 +321,6 @@ class RoutingSession:
         trials: int = 16,
         seed: RngLike = None,
         max_steps: Optional[int] = None,
-        engine: str = "lane",
     ) -> RoutingEstimate:
         """Estimate ``E(φ, s, t)`` over *pairs* (session-owned oracle).
 
@@ -336,7 +335,6 @@ class RoutingSession:
             seed=self._seed if seed is None else seed,
             max_steps=max_steps,
             oracle=self._oracle,
-            engine=engine,
         )
 
     def estimate_diameter(
@@ -347,7 +345,6 @@ class RoutingSession:
         seed: RngLike = None,
         pair_strategy: str = "extremal",
         max_steps: Optional[int] = None,
-        engine: str = "lane",
     ) -> RoutingEstimate:
         """Greedy-diameter estimate through the session-owned oracle."""
         return estimate_greedy_diameter(
@@ -359,7 +356,6 @@ class RoutingSession:
             pair_strategy=pair_strategy,
             max_steps=max_steps,
             oracle=self._oracle,
-            engine=engine,
         )
 
     # ------------------------------------------------------------------ #

@@ -1,7 +1,6 @@
-"""Shared utilities: random-number handling, timing, validation helpers."""
+"""Shared utilities: random-number handling and validation helpers."""
 
-from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timing import Timer
+from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
     check_probabilities,
     check_node_index,
@@ -10,8 +9,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "ensure_rng",
-    "spawn_rngs",
-    "Timer",
     "check_probabilities",
     "check_node_index",
     "check_positive_int",

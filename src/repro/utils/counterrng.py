@@ -1,19 +1,17 @@
-"""Counter-based uniform variates for batch-invariant lane sampling.
+"""Counter-based uniform variates: the routing engine's only source of randomness.
 
-The lane engine's default sampling mode draws every active lane's contact
-from **one shared generator per batch** — fast, but the draw a lane sees then
-depends on which *other* lanes happen to share its batch.  That is fine for
-Monte-Carlo estimates (any batching is equal in distribution) and fatal for a
-query service, where the same ``(source, target, seed)`` query must walk the
-same trajectory whether it was served alone or micro-batched with a thousand
-strangers.
+Every routing lane carries a 64-bit ``lane_seed``; the uniforms it consumes
+at step ``s`` are a pure hash of ``(lane_seed, s, variate index)`` — no
+shared stream, no state, no order dependence.  A lane's trajectory is
+therefore a function of ``(graph, scheme, lane_seed)`` alone: the same
+``(source, target, seed)`` query walks the same route whether it is served
+alone or micro-batched with a thousand strangers, and a Monte-Carlo
+estimate's lane ``l`` walks the same route whichever other pairs share its
+sweep.
 
-This module provides the alternative: **counter-based** uniforms.  Each lane
-carries a 64-bit ``lane_seed``; the uniforms consumed at step ``s`` are a pure
-hash of ``(lane_seed, s, variate index)`` — no shared stream, no state, no
-order dependence.  A lane's trajectory becomes a function of
-``(graph, scheme, lane_seed)`` alone, so batch composition provably cannot
-change it.
+Estimates derive their lane seeds with :func:`lane_seeds` (the splitmix64
+stream of the estimate's integer seed, one output per lane index); the
+serve layer derives one seed per query from its session seed.
 
 The hash is splitmix64's finalizer (Steele, Lea & Flood's SplittableRandom /
 xorshift-family mixing step), applied twice with the golden-ratio increment to
@@ -26,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MAX_UNIFORM_ROWS", "mix64", "lane_step_uniforms"]
+__all__ = ["MAX_UNIFORM_ROWS", "mix64", "lane_seeds", "lane_step_uniforms"]
 
 #: Upper bound on the per-step variate rows a scheme may request
 #: (:attr:`~repro.core.base.AugmentationScheme.uniforms_per_contact`).  The
@@ -42,6 +40,7 @@ _SHIFT_27 = np.uint64(27)
 _SHIFT_31 = np.uint64(31)
 _SHIFT_11 = np.uint64(11)
 _TO_UNIT = 2.0 ** -53
+_MASK_64 = (1 << 64) - 1
 
 
 def mix64(x: np.ndarray) -> np.ndarray:
@@ -53,6 +52,17 @@ def mix64(x: np.ndarray) -> np.ndarray:
     x *= _MIX_2
     x ^= x >> _SHIFT_31
     return x
+
+
+def lane_seeds(seed: int, count: int) -> np.ndarray:
+    """``count`` lane seeds: the first outputs of splitmix64 seeded with *seed*.
+
+    ``out[l]`` is a pure function of ``(seed, l)`` (*seed* taken modulo
+    ``2^64``), so the lanes an estimate shares with a longer one — the same
+    seed, the first ``count`` lane indices — get the same seeds.
+    """
+    state = np.uint64(int(seed) & _MASK_64)
+    return mix64(state + np.arange(1, int(count) + 1, dtype=np.uint64) * _GOLDEN)
 
 
 def lane_step_uniforms(seeds: np.ndarray, steps: np.ndarray, rows: int) -> np.ndarray:

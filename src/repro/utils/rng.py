@@ -2,14 +2,14 @@
 
 All stochastic code in the package accepts either an integer seed, ``None`` or
 an existing :class:`numpy.random.Generator` and normalises it through
-:func:`ensure_rng`.  This keeps experiments reproducible end to end: a single
-seed at the experiment level deterministically derives every per-trial stream
-via :func:`spawn_rngs`.
+:func:`ensure_rng`.  This keeps experiments reproducible end to end.  (The
+routing engine's per-lane randomness is counter-based instead, see
+:mod:`repro.utils.counterrng`.)
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -32,55 +32,3 @@ def ensure_rng(seed: RngLike = None) -> np.random.Generator:
     if seed is None or isinstance(seed, (int, np.integer)):
         return np.random.default_rng(seed)
     raise TypeError(f"cannot interpret {seed!r} as a random generator or seed")
-
-
-def spawn_rngs(seed: RngLike, count: int) -> List[np.random.Generator]:
-    """Deterministically derive *count* independent generators from *seed*.
-
-    Used to give each Monte-Carlo trial (or each parallel worker) its own
-    stream so that results do not depend on evaluation order.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if isinstance(seed, np.random.Generator):
-        # Derive children by drawing seeds from the parent generator.
-        seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]
-
-
-def choice_from_probabilities(
-    rng: np.random.Generator,
-    items: Iterable[int],
-    probabilities: Iterable[float],
-    *,
-    allow_none: bool = True,
-) -> Optional[int]:
-    """Sample one of *items* with the given *probabilities*.
-
-    The probabilities may sum to less than one; the residual mass corresponds
-    to "no choice" and returns ``None`` (this mirrors Definition 1 of the
-    paper, where augmentation-matrix rows need not be stochastic).
-    """
-    items = list(items)
-    probs = np.asarray(list(probabilities), dtype=float)
-    if len(items) != len(probs):
-        raise ValueError("items and probabilities must have the same length")
-    if np.any(probs < -1e-12):
-        raise ValueError("probabilities must be non-negative")
-    total = float(probs.sum())
-    if total > 1.0 + 1e-9:
-        raise ValueError(f"probabilities sum to {total} > 1")
-    u = rng.random()
-    acc = 0.0
-    for item, p in zip(items, probs):
-        acc += p
-        if u < acc:
-            return item
-    if allow_none:
-        return None
-    # Numerical slack: fall back to the last item when the row is stochastic.
-    if items and total > 1.0 - 1e-9:
-        return items[-1]
-    return None

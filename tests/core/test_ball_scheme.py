@@ -36,11 +36,18 @@ class TestBallScheme:
         with pytest.raises(ValueError):
             BallScheme(cycle12, num_levels=2, radius_distribution=[0.5])
 
-    def test_sample_level_range(self, cycle12, rng):
-        scheme = BallScheme(cycle12)
-        levels = [scheme.sample_level(rng) for _ in range(200)]
-        assert min(levels) >= 1
-        assert max(levels) <= scheme.num_levels
+    def test_level_uniform_bounds_contact_radius(self):
+        # uniforms[0] picks the level k by inverse CDF over the level
+        # distribution; the contact then lies in B(u, 2^k).
+        g = generators.path_graph(64)
+        scheme = BallScheme(g, num_levels=4, radius_distribution=[0.4, 0.3, 0.2, 0.1])
+        dist = bfs_distances(g, 30)
+        level_u = np.linspace(0.0, 0.999, 50)
+        uniforms = np.vstack([level_u, np.linspace(0.999, 0.0, 50)])
+        contacts = scheme.sample_contacts_from_uniforms(np.full(50, 30), uniforms)
+        levels = np.searchsorted(np.cumsum([0.4, 0.3, 0.2, 0.1]), level_u, side="right") + 1
+        assert set(levels.tolist()) == {1, 2, 3, 4}
+        assert np.all(dist[contacts] <= 2 ** levels)
 
     def test_contact_within_largest_ball(self, rng):
         g = generators.path_graph(64)

@@ -36,8 +36,8 @@ class TestAugmentationSchemeBase:
         class Dummy(AugmentationScheme):
             scheme_name = "dummy"
 
-            def sample_contact(self, node, rng=None):
-                return None
+            def sample_contacts_from_uniforms(self, nodes, uniforms):
+                return np.full(len(nodes), NO_CONTACT, dtype=np.int64)
 
         with pytest.raises(NotImplementedError):
             Dummy(path8).contact_distribution(0)
@@ -84,54 +84,39 @@ class TestAugmentedGraph:
 
 
 class TestSampleAllContactsDelegation:
-    """sample_all_contacts must route through the batched sampler."""
+    """Every spelling derives from the one primitive, sample_contacts_from_uniforms."""
 
-    def test_scalar_fallback_is_draw_for_draw_identical_to_old_loop(self, cycle12):
-        """For schemes without a native batched sampler the delegation keeps
-        the historical per-node stream (the base ``sample_contacts`` loops
-        ``sample_contact`` in node order)."""
+    class HalfScheme(AugmentationScheme):
+        """No link with probability 1/2, else a uniform node (two uniforms)."""
 
-        class HalfScheme(AugmentationScheme):
-            scheme_name = "half"
+        scheme_name = "half"
+        uniforms_per_contact = 2
+        primitive_calls = 0
 
-            def sample_contact(self, node, rng=None):
-                generator = rng if rng is not None else self._rng
-                if generator.random() < 0.5:
-                    return None
-                return int(generator.integers(self._graph.num_nodes))
+        def sample_contacts_from_uniforms(self, nodes, uniforms):
+            type(self).primitive_calls += 1
+            nodes = self._coerce_batch(nodes)
+            uniforms = self._coerce_uniforms(nodes, uniforms)
+            draws = (uniforms[1] * self._graph.num_nodes).astype(np.int64)
+            return np.where(uniforms[0] < 0.5, NO_CONTACT, draws)
 
-        scheme = HalfScheme(cycle12, seed=0)
+    def test_sample_all_contacts_is_one_primitive_call(self, cycle12):
+        scheme = self.HalfScheme(cycle12, seed=0)
+        before = self.HalfScheme.primitive_calls
         got = scheme.sample_all_contacts(np.random.default_rng(11))
-        reference = np.full(cycle12.num_nodes, NO_CONTACT, dtype=np.int64)
-        generator = np.random.default_rng(11)
-        for u in range(cycle12.num_nodes):
-            contact = scheme.sample_contact(u, generator)
-            if contact is not None:
-                reference[u] = int(contact)
-        np.testing.assert_array_equal(got, reference)
+        assert self.HalfScheme.primitive_calls == before + 1
+        n = cycle12.num_nodes
+        expected = scheme.sample_contacts_from_uniforms(
+            np.arange(n), np.random.default_rng(11).random((2, n))
+        )
+        np.testing.assert_array_equal(got, expected)
 
-    def test_native_batched_sampler_is_used(self, cycle12):
-        """A scheme with a vectorized sampler serves the eager path batched."""
+    def test_primitive_is_abstract(self, cycle12):
+        class Incomplete(AugmentationScheme):
+            scheme_name = "incomplete"
 
-        class CountingScheme(AugmentationScheme):
-            scheme_name = "counting"
-            batched_calls = 0
-            scalar_calls = 0
-
-            def sample_contact(self, node, rng=None):
-                type(self).scalar_calls += 1
-                return None
-
-            def sample_contacts(self, nodes, rng=None):
-                type(self).batched_calls += 1
-                nodes = self._coerce_batch(nodes)
-                return np.full(nodes.shape, NO_CONTACT, dtype=np.int64)
-
-        scheme = CountingScheme(cycle12, seed=1)
-        out = scheme.sample_all_contacts()
-        assert out.shape == (cycle12.num_nodes,)
-        assert CountingScheme.batched_calls == 1
-        assert CountingScheme.scalar_calls == 0
+        with pytest.raises(TypeError):
+            Incomplete(cycle12)
 
     def test_from_scheme_valid_contacts_for_all_builtin_schemes(self, cycle12):
         from repro.core.registry import available_schemes, make_scheme

@@ -1,11 +1,11 @@
 """Tests for the batched ``sample_contacts`` API across every scheme.
 
 The contract: each entry of the returned array is one independent draw from
-``φ_{nodes[i]}`` (``NO_CONTACT`` for "no link"), duplicates allowed.  Native
-vectorized implementations consume the generator differently from the scalar
-path, so the checks here are distributional (support + empirical frequencies
-against ``contact_distribution``) rather than draw-for-draw — except for the
-base-class fallback, which must replay the scalar sampler exactly.
+``φ_{nodes[i]}`` (``NO_CONTACT`` for "no link"), duplicates allowed.  The
+distributional checks compare support and empirical frequencies against
+``contact_distribution``; the derivation checks pin ``sample_contacts`` and
+``sample_contact`` bitwise to the one primitive,
+``sample_contacts_from_uniforms``, fed the generator's uniforms.
 """
 
 import numpy as np
@@ -95,44 +95,34 @@ class TestBatchedDistribution:
             assert out.shape == (0,)
 
 
-class TestScalarFallback:
-    def test_base_fallback_replays_scalar_sampler(self, tree20):
-        # The base-class implementation must consume the generator exactly
-        # like a sequence of sample_contact calls.
-        scheme = UniformScheme(tree20, seed=1)
-        nodes = np.array([3, 3, 9, 0])
-        batched = AugmentationScheme.sample_contacts(
-            scheme, nodes, np.random.default_rng(21)
-        )
-        rng = np.random.default_rng(21)
-        expected = [scheme.sample_contact(int(u), rng) for u in nodes]
-        expected = [NO_CONTACT if c is None else c for c in expected]
-        np.testing.assert_array_equal(batched, expected)
+class TestDerivedSamplers:
+    """sample_contacts and sample_contact are the primitive on generator uniforms."""
 
-    def test_scalar_override_disables_native_batch(self, tree20):
-        # A subclass changing the distribution via sample_contact alone must
-        # not inherit the parent's vectorized sampler.
-        class Constant(UniformScheme):
-            def sample_contact(self, node, rng=None):
-                return 0
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+    def test_sample_contacts_is_primitive_on_generator_uniforms(self, scheme_name, tree20):
+        scheme = _scheme_for(scheme_name, tree20)
+        nodes = np.array([3, 3, 9, 0, 19, 7, 3])
+        rows = type(scheme).uniforms_per_contact
+        for seed in (0, 21, 99):
+            batched = scheme.sample_contacts(nodes, np.random.default_rng(seed))
+            uniforms = np.random.default_rng(seed).random((rows, nodes.size))
+            expected = scheme.sample_contacts_from_uniforms(nodes, uniforms)
+            np.testing.assert_array_equal(batched, expected)
 
-        class NoLinks(BallScheme):
-            def sample_contact(self, node, rng=None):
-                return None
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+    def test_sample_contact_is_a_one_entry_batch(self, scheme_name, tree20):
+        scheme = _scheme_for(scheme_name, tree20)
+        for seed in range(10):
+            contact = scheme.sample_contact(4, np.random.default_rng(seed))
+            batch = scheme.sample_contacts(np.array([4]), np.random.default_rng(seed))
+            assert (NO_CONTACT if contact is None else contact) == batch[0]
 
-        rng = np.random.default_rng(0)
-        assert np.all(Constant(tree20, seed=1).sample_contacts(np.arange(20), rng) == 0)
-        assert np.all(
-            NoLinks(tree20, seed=1).sample_contacts(np.arange(20), rng) == NO_CONTACT
-        )
-
-    def test_intact_subclass_keeps_native_batch(self, tree20):
-        # Subclassing without touching sample_contact keeps the fast path.
-        class Renamed(UniformScheme):
-            scheme_name = "renamed"
-
-        scheme = Renamed(tree20, seed=1)
-        assert scheme._batch_matches_scalar(UniformScheme)
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+    def test_each_scheme_has_one_sampling_body(self, scheme_name, tree20):
+        cls = type(_scheme_for(scheme_name, tree20))
+        assert "sample_contacts_from_uniforms" in vars(cls)
+        assert vars(cls)["sample_contacts"] is AugmentationScheme.sample_contacts
+        assert "sample_contact" not in vars(cls)
 
 
 class TestBallProfileCache:

@@ -125,15 +125,20 @@ class TestValidation:
             )
 
 
-class TestBaseFallback:
-    def test_scalar_override_routes_through_base_fallback(self, cycle30):
+class TestSubclassContract:
+    def test_overriding_the_primitive_changes_every_spelling(self, cycle30):
         class OddScheme(UniformScheme):
-            """Overrides the scalar sampler: the batch guard must fall back."""
+            """Overrides the primitive: every derived sampler must follow."""
 
-            def sample_contact(self, node, rng=None):
-                return (node + 1) % self.graph.num_nodes
+            def sample_contacts_from_uniforms(self, nodes, uniforms):
+                nodes = self._coerce_batch(nodes)
+                return (nodes + 1) % self.graph.num_nodes
 
         scheme = OddScheme(cycle30, seed=1)
         nodes = np.array([0, 5, 29], dtype=np.int64)
         draws = scheme.sample_contacts_from_uniforms(nodes, _uniforms(scheme, 3, 19))
         np.testing.assert_array_equal(draws, [1, 6, 0])
+        np.testing.assert_array_equal(
+            scheme.sample_contacts(nodes, np.random.default_rng(0)), [1, 6, 0]
+        )
+        assert scheme.sample_contact(29) == 0

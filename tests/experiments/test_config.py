@@ -1,5 +1,7 @@
 """Unit tests for ExperimentConfig."""
 
+import pytest
+
 from repro.experiments.config import ExperimentConfig
 
 
@@ -37,10 +39,10 @@ class TestExperimentConfig:
         cfg = ExperimentConfig()
         assert cfg.fingerprint() != cfg.scaled(trials=cfg.trials + 1).fingerprint()
 
-    def test_engine_default_and_fingerprint(self):
+    def test_engine_is_not_a_config_field(self):
+        # One routing path: the fingerprint carries no engine, and a stale
+        # fingerprint that still does cannot be rebuilt into a config.
         cfg = ExperimentConfig()
-        assert cfg.engine == "lane"
-        assert cfg.fingerprint()["engine"] == "lane"
-        # The engines draw different random streams, so swapping one must
-        # invalidate --resume artifacts via the fingerprint.
-        assert cfg.fingerprint() != cfg.scaled(engine="scalar").fingerprint()
+        assert "engine" not in cfg.fingerprint()
+        with pytest.raises(TypeError):
+            ExperimentConfig(**cfg.fingerprint(), engine="lane")

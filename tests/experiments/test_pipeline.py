@@ -6,6 +6,8 @@ artifacts round-trip, ``resume`` executes zero cells while reproducing
 identical markdown, and process fan-out matches the serial sweep.
 """
 
+import json
+
 import pytest
 
 from repro.analysis.reporting import CellArtifact, load_cell_artifact
@@ -214,6 +216,23 @@ class TestResume:
         run_all(other, only=["EXP-1"], artifacts_dir=tmp_path, resume=True, stats=stats)
         assert len(stats["executed"]) == len(exp_uniform.cell_keys(other))
         assert stats["skipped"] == []
+
+    def test_resume_recomputes_schema_v2_artifacts(self, tmp_path):
+        # Version-2 artifacts were routed on other random streams and their
+        # config fingerprint carries the removed ``engine`` field.
+        run_all(TINY, only=["EXP-1"], artifacts_dir=tmp_path)
+        for path in tmp_path.glob("*.json"):
+            data = json.loads(path.read_text())
+            data["schema_version"] = 2
+            data["config"]["engine"] = "lane"
+            path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="no experiment artifacts"):
+            results_from_artifacts(tmp_path)
+        stats = {}
+        resumed = run_all(TINY, only=["EXP-1"], artifacts_dir=tmp_path, resume=True, stats=stats)
+        assert len(stats["executed"]) == len(exp_uniform.cell_keys(TINY))
+        assert stats["skipped"] == []
+        assert render_markdown(results_from_artifacts(tmp_path)) == render_markdown(resumed)
 
     def test_resume_requires_artifacts_dir(self):
         with pytest.raises(ValueError):

@@ -1,16 +1,19 @@
 """Lane-engine tests: trajectory identity, statistical parity, edge cases.
 
-The exact-equivalence contract of the lane engine is that, fed the same
-materialized contact table, it walks step-for-step the same routes as the
-scalar ``greedy_route`` reference — asserted here per lane for **every**
-registered scheme on every graph family (grid, ring, tree, disconnected).
-On the default lazy-sampling path the engines draw different random streams,
-so those tests are seeded statistical-parity checks instead.
+The exact-equivalence contract of the lane engine is that it walks
+step-for-step the same routes as ``greedy_route`` fed a contact provider
+that replays each lane's counter uniforms
+(:func:`repro.utils.counterrng.lane_step_uniforms`) through the scheme's
+sampling primitive — asserted here per lane for **every** registered scheme
+on every graph family (grid, ring, tree, disconnected) and under step
+budgets.  Against an independent generator-driven reference loop the
+engine is checked statistically instead.
 """
 
 import numpy as np
 import pytest
 
+import repro.routing.simulator as simulator
 from repro.core.ball_scheme import BallScheme
 from repro.core.base import NO_CONTACT
 from repro.core.kleinberg import DistancePowerScheme
@@ -20,9 +23,11 @@ from repro.core.uniform import UniformScheme
 from repro.graphs import generators
 from repro.graphs.graph import Graph
 from repro.graphs.oracle import DistanceOracle
-from repro.routing.engine import LaneBatchResult, materialize_contact_table, route_lanes
+from repro.routing.engine import LaneBatchResult, route_lanes
 from repro.routing.greedy import greedy_route
 from repro.routing.simulator import estimate_expected_steps
+from repro.routing.statistics import summarize
+from repro.utils.counterrng import lane_seeds, lane_step_uniforms
 
 SCHEME_NAMES = ["uniform", "ball", "theorem2", "kleinberg", "matrix"]
 FAMILY_NAMES = ["grid", "ring", "tree", "disconnected"]
@@ -64,28 +69,57 @@ def _scheme_for(name: str, graph: Graph, oracle: DistanceOracle):
     raise AssertionError(name)
 
 
-def _table_lookup(table: np.ndarray, lane: int):
+def _seeds(count, base=1000):
+    return np.asarray([base + 17 * i for i in range(count)], dtype=np.uint64)
+
+
+def _counter_replay(scheme, lane_seed: int):
+    """Contact provider replaying one lane's counter uniforms, step by step.
+
+    ``greedy_route`` asks for exactly one contact per step (after its budget
+    check), so the k-th call is step ``k - 1`` — the counter the engine
+    hashes for that lane.
+    """
+    rows = type(scheme).uniforms_per_contact
+    seed = np.array([lane_seed], dtype=np.uint64)
+    step = [0]
+
     def contact_of(u: int):
-        c = int(table[lane, u])
+        uniforms = lane_step_uniforms(seed, np.array([step[0]]), rows)
+        step[0] += 1
+        c = int(scheme.sample_contacts_from_uniforms(np.array([u]), uniforms)[0])
         return None if c == NO_CONTACT else c
 
     return contact_of
 
 
-class TestTrajectoryIdentity:
-    """Lane engine == scalar reference, lane by lane, under a shared table."""
+def _reference_steps(graph, scheme, oracle, source, target, trials, rng):
+    """Independent scalar Monte-Carlo loop: greedy_route on generator draws."""
+    dist = oracle.distances_to(target)
+    return [
+        greedy_route(
+            graph, dist, source, target, lambda u: scheme.sample_contact(u, rng)
+        ).steps
+        for _ in range(trials)
+    ]
 
+
+class TestTrajectoryIdentity:
+    """Lane engine == greedy_route replaying the lane's counter uniforms."""
+
+    @pytest.mark.parametrize("max_steps", [None, 0, 1, 3])
     @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
     @pytest.mark.parametrize("family", FAMILY_NAMES)
-    def test_lane_matches_scalar_reference(self, scheme_name, family):
+    def test_lane_matches_counter_replay(self, scheme_name, family, max_steps):
         graph = _graph_for(family)
         oracle = DistanceOracle(graph)
         scheme = _scheme_for(scheme_name, graph, oracle)
         pairs = _pairs_for(family, graph)
         trials = 5
-        table = materialize_contact_table(scheme, len(pairs) * trials, rng=99)
+        seeds = lane_seeds(99, len(pairs) * trials)
         batch = route_lanes(
-            graph, scheme, pairs, trials=trials, seed=1, oracle=oracle, contact_table=table
+            graph, scheme, pairs, trials=trials, lane_seeds=seeds, oracle=oracle,
+            max_steps=max_steps,
         )
         for lane in range(len(pairs) * trials):
             source, target = pairs[lane // trials]
@@ -94,81 +128,50 @@ class TestTrajectoryIdentity:
                 oracle.distances_to(target),
                 source,
                 target,
-                _table_lookup(table, lane),
+                _counter_replay(scheme, int(seeds[lane])),
+                max_steps=max_steps,
             )
             assert bool(batch.success[lane]) == result.success
             assert int(batch.steps[lane]) == result.steps
             assert int(batch.long_links[lane]) == result.long_links_used
 
-    @pytest.mark.parametrize("family", FAMILY_NAMES)
-    def test_identity_survives_max_steps_budget(self, family):
-        graph = _graph_for(family)
-        oracle = DistanceOracle(graph)
-        scheme = UniformScheme(graph, seed=5)
-        pairs = _pairs_for(family, graph)
-        trials = 6
-        table = materialize_contact_table(scheme, len(pairs) * trials, rng=42)
-        for budget in (0, 1, 3):
-            batch = route_lanes(
-                graph,
-                scheme,
-                pairs,
-                trials=trials,
-                seed=1,
-                oracle=oracle,
-                contact_table=table,
-                max_steps=budget,
-            )
-            for lane in range(len(pairs) * trials):
-                source, target = pairs[lane // trials]
-                result = greedy_route(
-                    graph,
-                    oracle.distances_to(target),
-                    source,
-                    target,
-                    _table_lookup(table, lane),
-                    max_steps=budget,
-                )
-                assert bool(batch.success[lane]) == result.success
-                assert int(batch.steps[lane]) == result.steps
-                assert int(batch.long_links[lane]) == result.long_links_used
-
 
 class _NoLinksScheme(UniformScheme):
     """No long-range links: greedy routing degenerates to shortest paths."""
 
-    def sample_contact(self, node, rng=None):
-        return None
+    def sample_contacts_from_uniforms(self, nodes, uniforms):
+        return np.full(len(nodes), NO_CONTACT, dtype=np.int64)
 
 
 class TestStatisticalParity:
-    def test_deterministic_scheme_engines_agree_exactly(self, grid4x4):
+    def test_deterministic_scheme_matches_graph_distance(self, grid4x4):
         scheme = _NoLinksScheme(grid4x4, seed=0)
         pairs = [(0, 15), (3, 12)]
-        lane = estimate_expected_steps(grid4x4, scheme, pairs, trials=4, seed=7, engine="lane")
-        scalar = estimate_expected_steps(grid4x4, scheme, pairs, trials=4, seed=7, engine="scalar")
-        # Without randomness both engines must compute the exact same numbers.
-        assert lane.mean == scalar.mean
-        assert lane.diameter == scalar.diameter
-        for a, b in zip(lane.pairs, scalar.pairs):
-            assert a.stats.mean == b.stats.mean == a.graph_distance
+        estimate = estimate_expected_steps(grid4x4, scheme, pairs, trials=4, seed=7)
+        # Without randomness every trial walks a shortest path.
+        for pair in estimate.pairs:
+            assert pair.stats.mean == pair.stats.maximum == pair.graph_distance
+        assert estimate.diameter == 6
 
     def test_seeded_parity_on_ring(self):
-        # Different RNG streams, same distribution: with enough trials the
-        # two engines' means must be close (they estimate the same E(φ,s,t)).
+        # Different random streams, same distribution: with enough trials the
+        # engine's mean must be close to an independent scalar reference loop
+        # (both estimate the same E(φ,s,t)).
         g = generators.cycle_graph(96)
         scheme = UniformScheme(g, seed=0)
-        pairs = [(0, 48)]
-        lane = estimate_expected_steps(g, scheme, pairs, trials=600, seed=5, engine="lane")
-        scalar = estimate_expected_steps(g, scheme, pairs, trials=600, seed=5, engine="scalar")
+        oracle = DistanceOracle(g)
+        lane = estimate_expected_steps(g, scheme, [(0, 48)], trials=600, seed=5, oracle=oracle)
+        reference = summarize(
+            _reference_steps(g, scheme, oracle, 0, 48, 600, np.random.default_rng(5))
+        )
         # Compare via overlapping 95% confidence intervals.
-        assert lane.pairs[0].stats.ci95_low <= scalar.pairs[0].stats.ci95_high
-        assert scalar.pairs[0].stats.ci95_low <= lane.pairs[0].stats.ci95_high
+        assert lane.pairs[0].stats.ci95_low <= reference.ci95_high
+        assert reference.ci95_low <= lane.pairs[0].stats.ci95_high
 
     def test_lane_engine_deterministic_given_seed(self, cycle12):
         scheme = UniformScheme(cycle12, seed=0)
-        a = estimate_expected_steps(cycle12, scheme, [(0, 6)], trials=8, seed=3, engine="lane")
-        b = estimate_expected_steps(cycle12, scheme, [(0, 6)], trials=8, seed=3, engine="lane")
+        a = estimate_expected_steps(cycle12, scheme, [(0, 6)], trials=8, seed=3)
+        b = estimate_expected_steps(cycle12, scheme, [(0, 6)], trials=8, seed=3)
         assert a.mean == b.mean
         assert a.diameter == b.diameter
 
@@ -176,7 +179,7 @@ class TestStatisticalParity:
         g = generators.cycle_graph(64)
         scheme = UniformScheme(g, seed=0)
         estimate = estimate_expected_steps(
-            g, scheme, [(0, 32)], trials=64, seed=5, max_steps=10, engine="lane"
+            g, scheme, [(0, 32)], trials=64, seed=5, max_steps=10
         )
         pair = estimate.pairs[0]
         assert estimate.failed_trials > 0
@@ -184,42 +187,80 @@ class TestStatisticalParity:
         assert pair.stats.maximum <= 10
 
 
-class TestEngineEdgeCases:
-    def test_unknown_engine_rejected(self, cycle12):
-        scheme = UniformScheme(cycle12, seed=0)
-        with pytest.raises(ValueError, match="unknown engine"):
-            estimate_expected_steps(cycle12, scheme, [(0, 6)], trials=2, engine="warp")
+def _capture_batches(monkeypatch):
+    """Record every LaneBatchResult estimate_expected_steps routes."""
+    batches = []
 
+    def recording(*args, **kwargs):
+        batch = route_lanes(*args, **kwargs)
+        batches.append(batch)
+        return batch
+
+    monkeypatch.setattr(simulator, "route_lanes", recording)
+    return batches
+
+
+class TestEstimateLaneSeeds:
+    """estimate_expected_steps: lane l's outcome is a function of (seed, l)."""
+
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+    def test_pair_prefix_reproduces_first_lanes(self, scheme_name, monkeypatch):
+        g = generators.cycle_graph(40)
+        oracle = DistanceOracle(g)
+        scheme = _scheme_for(scheme_name, g, oracle)
+        pairs = [(0, 20), (5, 31), (12, 2), (39, 17), (8, 9)]
+        trials = 6
+        batches = _capture_batches(monkeypatch)
+        estimate_expected_steps(g, scheme, pairs, trials=trials, seed=13, oracle=oracle)
+        full = batches.pop()
+        for j in range(1, len(pairs)):
+            estimate_expected_steps(
+                g, scheme, pairs[:j], trials=trials, seed=13, oracle=oracle
+            )
+            prefix = batches.pop()
+            lanes = slice(0, j * trials)
+            np.testing.assert_array_equal(prefix.steps, full.steps[lanes])
+            np.testing.assert_array_equal(prefix.success, full.success[lanes])
+            np.testing.assert_array_equal(prefix.long_links, full.long_links[lanes])
+
+    def test_lanes_use_the_seed_stream(self, cycle12, monkeypatch):
+        scheme = UniformScheme(cycle12, seed=0)
+        pairs = [(0, 6), (1, 9)]
+        batches = _capture_batches(monkeypatch)
+        estimate_expected_steps(cycle12, scheme, pairs, trials=4, seed=21)
+        direct = route_lanes(cycle12, scheme, pairs, trials=4, lane_seeds=lane_seeds(21, 8))
+        np.testing.assert_array_equal(batches[0].steps, direct.steps)
+        np.testing.assert_array_equal(batches[0].long_links, direct.long_links)
+
+    def test_generator_seed_is_deterministic(self):
+        g = generators.cycle_graph(128)
+        scheme = UniformScheme(g, seed=0)
+        a = estimate_expected_steps(g, scheme, [(0, 64)], trials=8, seed=np.random.default_rng(4))
+        b = estimate_expected_steps(g, scheme, [(0, 64)], trials=8, seed=np.random.default_rng(4))
+        assert a.mean == b.mean
+
+
+class TestEngineEdgeCases:
     def test_unreachable_pair_rejected(self):
         graph = _graph_for("disconnected")
         scheme = UniformScheme(graph, seed=0)
         with pytest.raises(ValueError, match="not reachable"):
-            route_lanes(graph, scheme, [(0, 20)], trials=2, seed=1)
+            route_lanes(graph, scheme, [(0, 20)], trials=2, lane_seeds=_seeds(2))
 
     def test_empty_pairs_rejected(self, cycle12):
         with pytest.raises(ValueError):
-            route_lanes(cycle12, UniformScheme(cycle12), [], trials=2)
-
-    def test_bad_contact_table_shape_rejected(self, cycle12):
-        scheme = UniformScheme(cycle12, seed=0)
-        with pytest.raises(ValueError, match="contact_table"):
-            route_lanes(
-                cycle12,
-                scheme,
-                [(0, 6)],
-                trials=2,
-                contact_table=np.zeros((3, cycle12.num_nodes), dtype=np.int64),
-            )
+            route_lanes(cycle12, UniformScheme(cycle12), [], trials=2, lane_seeds=_seeds(0))
 
     def test_foreign_scheme_and_oracle_rejected(self, cycle12, path8):
         with pytest.raises(ValueError):
-            route_lanes(cycle12, UniformScheme(path8), [(0, 6)], trials=2)
+            route_lanes(cycle12, UniformScheme(path8), [(0, 6)], trials=2, lane_seeds=_seeds(2))
         with pytest.raises(ValueError):
             route_lanes(
                 cycle12,
                 UniformScheme(cycle12),
                 [(0, 6)],
                 trials=2,
+                lane_seeds=_seeds(2),
                 oracle=DistanceOracle(path8),
             )
 
@@ -227,13 +268,11 @@ class TestEngineEdgeCases:
         g = generators.path_graph(30)
         scheme = _NoLinksScheme(g, seed=0)
         with pytest.raises(ValueError, match="exceeded"):
-            estimate_expected_steps(
-                g, scheme, [(0, 29)], trials=4, seed=1, max_steps=3, engine="lane"
-            )
+            estimate_expected_steps(g, scheme, [(0, 29)], trials=4, seed=1, max_steps=3)
 
     def test_batch_result_shape(self, cycle12):
         scheme = UniformScheme(cycle12, seed=0)
-        batch = route_lanes(cycle12, scheme, [(0, 6), (1, 7)], trials=3, seed=2)
+        batch = route_lanes(cycle12, scheme, [(0, 6), (1, 7)], trials=3, lane_seeds=_seeds(6))
         assert isinstance(batch, LaneBatchResult)
         assert batch.num_lanes == 6
         assert batch.trials == 3
@@ -246,8 +285,7 @@ class TestEngineEdgeCases:
         oracle = DistanceOracle(cycle12)
         scheme = UniformScheme(cycle12, seed=0)
         estimate_expected_steps(
-            cycle12, scheme, [(0, 6), (3, 6), (1, 9)], trials=4, seed=1,
-            oracle=oracle, engine="lane",
+            cycle12, scheme, [(0, 6), (3, 6), (1, 9)], trials=4, seed=1, oracle=oracle
         )
         assert oracle.cache_size() == 2  # targets {6, 9}
         assert oracle.hits >= 1
@@ -256,15 +294,12 @@ class TestEngineEdgeCases:
 class TestLaneSeedsMode:
     """Counter-based per-lane seeding: batch-invariant trajectories."""
 
-    def _seeds(self, count, base=1000):
-        return np.asarray([base + 17 * i for i in range(count)], dtype=np.uint64)
-
     @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
     def test_lane_trajectories_ignore_batch_composition(self, scheme_name):
         g = generators.cycle_graph(30)
         scheme = _scheme_for(scheme_name, g, DistanceOracle(g))
         pairs = [(0, 15), (3, 20), (7, 28)]
-        seeds = self._seeds(3)
+        seeds = _seeds(3)
         batch = route_lanes(g, scheme, pairs, trials=1, lane_seeds=seeds, max_steps=60)
         for i, pair in enumerate(pairs):
             solo = route_lanes(
@@ -276,7 +311,7 @@ class TestLaneSeedsMode:
 
     def test_rerun_is_bit_identical(self, cycle12):
         scheme = UniformScheme(cycle12, seed=0)
-        seeds = self._seeds(4)
+        seeds = _seeds(4)
         pairs = [(0, 6), (1, 7), (2, 8), (3, 9)]
         a = route_lanes(cycle12, scheme, pairs, trials=1, lane_seeds=seeds)
         b = route_lanes(cycle12, scheme, pairs, trials=1, lane_seeds=seeds)
@@ -286,7 +321,7 @@ class TestLaneSeedsMode:
     def test_distinct_seeds_draw_distinct_walks(self, cycle12):
         scheme = UniformScheme(cycle12, seed=0)
         pairs = [(0, 6)] * 8
-        seeds = self._seeds(8)
+        seeds = _seeds(8)
         batch = route_lanes(cycle12, scheme, pairs, trials=1, lane_seeds=seeds)
         assert len(set(batch.steps.tolist())) > 1  # not all lanes identical
 
@@ -296,15 +331,6 @@ class TestLaneSeedsMode:
             route_lanes(
                 cycle12, scheme, [(0, 6)], trials=2,
                 lane_seeds=np.array([1], dtype=np.uint64),
-            )
-
-    def test_lane_seeds_exclusive_with_contact_table(self, cycle12):
-        scheme = UniformScheme(cycle12, seed=0)
-        table = materialize_contact_table(scheme, 1, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="contact_table"):
-            route_lanes(
-                cycle12, scheme, [(0, 6)], trials=1,
-                contact_table=table, lane_seeds=np.array([1], dtype=np.uint64),
             )
 
 
@@ -332,11 +358,11 @@ class TestInjectedBlocks:
         dist, next_local = oracle.routing_blocks((6,))
         with pytest.raises(ValueError, match="pair_rows"):
             route_lanes(
-                cycle12, scheme, [(0, 6), (1, 6)], trials=1, seed=1,
+                cycle12, scheme, [(0, 6), (1, 6)], trials=1, lane_seeds=_seeds(2),
                 blocks=(dist, next_local, np.array([0], dtype=np.int64)),
             )
         with pytest.raises(ValueError, match="row"):
             route_lanes(
-                cycle12, scheme, [(0, 6)], trials=1, seed=1,
+                cycle12, scheme, [(0, 6)], trials=1, lane_seeds=_seeds(1),
                 blocks=(dist, next_local, np.array([3], dtype=np.int64)),
             )

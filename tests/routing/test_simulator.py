@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.base import NO_CONTACT
 from repro.core.uniform import UniformScheme
 from repro.core.ball_scheme import BallScheme
 from repro.graphs import generators
@@ -68,8 +69,8 @@ class TestEstimateExpectedSteps:
 class _NoLinksScheme(UniformScheme):
     """Scheme without long-range links: greedy = deterministic shortest path."""
 
-    def sample_contact(self, node, rng=None):
-        return None
+    def sample_contacts_from_uniforms(self, nodes, uniforms):
+        return np.full(len(nodes), NO_CONTACT, dtype=np.int64)
 
 
 class TestFailedTrials:

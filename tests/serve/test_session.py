@@ -122,7 +122,6 @@ class TestRouteMany:
                 trials=6,
                 seed=_SEED,
                 oracle=session.oracle,
-                engine="lane",
             )
         assert mine.mean == reference.mean
         assert mine.pairs == reference.pairs

@@ -75,29 +75,22 @@ class TestCommands:
         assert second == first
 
 
-class TestEngineFlag:
-    def test_route_engine_choices(self):
-        args = build_parser().parse_args(["route", "ring", "--engine", "scalar"])
-        assert args.engine == "scalar"
-        args = build_parser().parse_args(["route", "ring"])
-        assert args.engine == "lane"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["route", "ring", "--engine", "warp"])
+class TestEngineFlagRemoved:
+    """Sweeps and serve share one routing path, so no subcommand takes --engine."""
 
-    def test_route_command_scalar_engine(self, capsys):
+    @pytest.mark.parametrize("command", [["route", "ring"], ["serve", "ring"], ["experiment"]])
+    def test_engine_flag_rejected(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--engine", "lane"])
+        assert "--engine" in capsys.readouterr().err
+
+    def test_route_command_runs_the_lane_engine(self, capsys):
         code = main(
             ["route", "ring", "--size", "48", "--pairs", "2", "--trials", "2",
-             "--schemes", "uniform", "--engine", "scalar"]
+             "--schemes", "uniform"]
         )
         assert code == 0
         assert "uniform" in capsys.readouterr().out
-
-    def test_experiment_engine_reaches_config(self, capsys):
-        code = main(
-            ["experiment", "--only", "EXP-1", "--quick", "--markdown", "--engine", "scalar"]
-        )
-        assert code == 0
-        assert "EXP-1" in capsys.readouterr().out
 
 
 class TestByteSizeParsing:
@@ -229,7 +222,6 @@ class TestServeParser:
         assert args.max_batch == 512
         assert args.window_ms == 1.0
         assert args.warm_targets == 32
-        assert args.engine == "lane"  # shared parent parser, same as route
 
     def test_shared_instance_flags(self):
         args = build_parser().parse_args(
@@ -244,10 +236,6 @@ class TestServeParser:
 
 class TestServeUsageErrors:
     """Invalid serve combinations are one-line errors with exit 2."""
-
-    def test_scalar_engine_rejected(self, capsys):
-        assert main(["serve", "ring", "-n", "64", "--engine", "scalar"]) == 2
-        assert "--engine lane" in capsys.readouterr().err
 
     def test_bad_max_batch(self, capsys):
         assert main(["serve", "ring", "-n", "64", "--max-batch", "0"]) == 2

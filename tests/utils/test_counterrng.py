@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.counterrng import MAX_UNIFORM_ROWS, lane_step_uniforms, mix64
+from repro.utils.counterrng import MAX_UNIFORM_ROWS, lane_seeds, lane_step_uniforms, mix64
 
 
 class TestMix64:
@@ -64,3 +64,19 @@ class TestLaneStepUniforms:
     def test_row_bounds_enforced(self, rows):
         with pytest.raises(ValueError, match="rows"):
             lane_step_uniforms(np.array([1], dtype=np.uint64), np.array([0]), rows)
+
+
+class TestLaneSeeds:
+    def test_prefix_of_a_longer_run(self):
+        """Lane l's seed depends on (seed, l) only, not on the lane count."""
+        assert np.array_equal(lane_seeds(5, 40)[:7], lane_seeds(5, 7))
+
+    def test_distinct_lanes_and_seeds(self):
+        seeds = lane_seeds(5, 4096)
+        assert seeds.dtype == np.uint64
+        assert len(np.unique(seeds)) == 4096
+        assert not np.array_equal(lane_seeds(6, 16), seeds[:16])
+
+    def test_seed_taken_modulo_two_to_the_64(self):
+        assert np.array_equal(lane_seeds(2**64 + 3, 8), lane_seeds(3, 8))
+        assert lane_seeds(9, 0).shape == (0,)

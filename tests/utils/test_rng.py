@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import choice_from_probabilities, ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 
 
 class TestEnsureRng:
@@ -26,49 +26,3 @@ class TestEnsureRng:
     def test_invalid_type(self):
         with pytest.raises(TypeError):
             ensure_rng("not a seed")
-
-
-class TestSpawnRngs:
-    def test_count_and_independence(self):
-        rngs = spawn_rngs(3, 4)
-        assert len(rngs) == 4
-        draws = [r.integers(0, 10**9) for r in rngs]
-        assert len(set(draws)) == 4
-
-    def test_deterministic(self):
-        a = [r.integers(0, 10**9) for r in spawn_rngs(11, 3)]
-        b = [r.integers(0, 10**9) for r in spawn_rngs(11, 3)]
-        assert a == b
-
-    def test_from_generator(self):
-        rngs = spawn_rngs(np.random.default_rng(1), 2)
-        assert len(rngs) == 2
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-
-class TestChoiceFromProbabilities:
-    def test_full_distribution(self):
-        rng = np.random.default_rng(0)
-        outcomes = {choice_from_probabilities(rng, [1, 2], [0.5, 0.5]) for _ in range(100)}
-        assert outcomes <= {1, 2}
-        assert None not in outcomes
-
-    def test_sub_stochastic_allows_none(self):
-        rng = np.random.default_rng(0)
-        outcomes = [choice_from_probabilities(rng, [1], [0.1]) for _ in range(200)]
-        assert outcomes.count(None) > 100
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            choice_from_probabilities(np.random.default_rng(0), [1, 2], [1.0])
-
-    def test_negative_probability(self):
-        with pytest.raises(ValueError):
-            choice_from_probabilities(np.random.default_rng(0), [1], [-0.5])
-
-    def test_sum_above_one(self):
-        with pytest.raises(ValueError):
-            choice_from_probabilities(np.random.default_rng(0), [1, 2], [0.8, 0.8])

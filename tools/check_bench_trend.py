@@ -6,9 +6,9 @@ Compares the *freshly measured* records a benchmark run just appended to
 git ref, default ``HEAD`` — i.e. exactly what the repository claimed before
 this run).  Two metrics are gated, each with its own direction:
 
-* ``speedup`` (higher is better — ``routing_engine`` lane-vs-scalar,
-  ``next_local_many`` batched-vs-loop): the fresh value must not fall below
-  ``(1 - tolerance)`` times the baseline,
+* ``speedup`` (higher is better — ``next_local_many`` batched-vs-loop):
+  the fresh value must not fall below ``(1 - tolerance)`` times the
+  baseline,
 * ``bytes_per_node`` (lower is better — ``oracle_memory`` resident-memory
   records): the fresh value must not rise above ``(1 + tolerance)`` times
   the baseline.
@@ -21,7 +21,10 @@ override the default metric set: ``bfs_engine_highdiam`` gates on
 pure-Python comparator (machine-state noise) would register as an engine
 regression even when the engine's own time is flat.  The absolute engine
 time has no comparator in the denominator and tracks what the gate is
-actually protecting.
+actually protecting.  The routing kinds (``routing_engine``,
+``routing_engine_highdiam``) gate the same way on the lane engine's warm
+``lane_seconds``: their rows carry no speedup, because the scalar engine
+that was the ratio's denominator no longer exists.
 
 The baseline is the *median* per size over the baseline file's most recent
 records (up to ``--baseline-window`` per kind and size), so one historically
@@ -64,6 +67,9 @@ GATED_METRICS = {"speedup": True, "bytes_per_node": False}
 #: their own axes: ``serve_qps`` on sustained queries/second (higher is
 #: better), ``serve_latency`` on the closed loop's p99 response time in
 #: milliseconds (lower is better).
+#: The lane engine's rows (``routing_engine`` on grids,
+#: ``routing_engine_highdiam`` on rings) gate on ``lane_seconds``, the
+#: minimum of the benchmark's warm rounds, lower is better.
 #: The landmark sketch's records (``benchmarks/test_bench_approx_distance.py``)
 #: gate on ``warmup_seconds`` — the one-off pivot BFS cost that landmark mode
 #: pays instead of per-query exact sweeps — and on ``mean_stretch``, the
@@ -71,6 +77,8 @@ GATED_METRICS = {"speedup": True, "bytes_per_node": False}
 #: better, so a slower warmup or a sloppier sketch fails the trend.
 KIND_GATED_METRICS = {
     "bfs_engine_highdiam": {"engine_seconds": False},
+    "routing_engine": {"lane_seconds": False},
+    "routing_engine_highdiam": {"lane_seconds": False},
     "bfs_kernel_compiled": {"engine_seconds": False},
     "next_local_compiled": {"engine_seconds": False},
     "serve_qps": {"qps": True},
@@ -199,8 +207,8 @@ def main(argv=None) -> int:
                 compared += 1
                 kind_compared += 1
                 print(
-                    f"  {kind:>16} n={n:>7} {metric}: fresh {fresh:9.2f} vs "
-                    f"baseline {baseline:9.2f} ({bound_name} {bound:.2f}) {status}"
+                    f"  {kind:>16} n={n:>7} {metric}: fresh {fresh:9.4g} vs "
+                    f"baseline {baseline:9.4g} ({bound_name} {bound:.4g}) {status}"
                 )
                 if not ok:
                     failures.append((kind, metric, n, fresh, baseline))
