@@ -161,7 +161,9 @@ class ExperimentResult:
 #: different pair sets, so resuming onto them would silently mix statistics.
 #: Version 3: sweeps route on counter-seeded lanes (different random streams
 #: from version 2) and the config fingerprint no longer carries ``engine``.
-ARTIFACT_SCHEMA_VERSION = 3
+#: Version 4: the Kleinberg distance-power scheme draws a shell, then a shell
+#: member (two uniforms per contact), so EXP-7 payloads differ from version 3.
+ARTIFACT_SCHEMA_VERSION = 4
 
 
 #: Filesystem-safe slug for artifact filenames — shared with the GraphStore's

@@ -219,8 +219,9 @@ def _cmd_route(args: argparse.Namespace) -> int:
         kernels.set_backend(args.kernel_backend)
         kernels.warmup_active()
     graph = _make_graph(args.family, args.size, args.seed)
-    # One provider shared across the compared schemes: BFS arrays pool, and
-    # under --distance-mode landmark the pair sampling rides the sketch.
+    # One provider shared across the compared schemes and the simulator: BFS
+    # rows pool under --oracle-max-bytes, and under --distance-mode landmark
+    # pair sampling and the distance-based schemes ride the sketch.
     oracle = make_distance_provider(
         graph,
         args.distance_mode,
@@ -230,7 +231,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     )
     rows = []
     for scheme_name in args.schemes:
-        scheme = make_scheme(scheme_name, graph, seed=args.seed)
+        scheme = make_scheme(scheme_name, graph, seed=args.seed, oracle=oracle)
         estimate = estimate_greedy_diameter(
             graph,
             scheme,

@@ -172,9 +172,6 @@ class AugmentationScheme(abc.ABC):
         """One-line human-readable description (overridable)."""
         return f"{self.scheme_name} on {self._graph.name} (n={self._graph.num_nodes})"
 
-    def reset_cache(self) -> None:
-        """Drop any per-node caches (distance arrays etc.).  No-op by default."""
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(graph={self._graph.name!r}, n={self._graph.num_nodes})"
 

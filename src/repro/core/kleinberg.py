@@ -8,20 +8,30 @@ polynomial number of steps.  The paper cites this as the prototypical
 *class-specific* (non-universal) scheme; EXP-7 reproduces the exponent
 sensitivity curve as a sanity check of the routing engine.
 
-The implementation works on arbitrary graphs using the graph metric: one BFS
-per visited node (cached) yields the distance profile, and the contact is
-drawn with ``φ_u(v) ∝ dist(u, v)^{-r}`` for ``v ≠ u``.
+The implementation works on arbitrary graphs using the graph metric: a
+contact of ``u`` is a distance shell ``d ≥ 1`` drawn with probability
+``∝ |S_d| · d^{-r}``, then a uniform member of it, which is exactly
+``φ_u(v) ∝ dist(u, v)^{-r}`` for ``v ≠ u``.  Like the Theorem-4 ball scheme
+it reads the distance row from ``u`` on a provider's query tier and keeps
+no per-node state.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.base import NO_CONTACT, AugmentationScheme
-from repro.graphs.distances import UNREACHABLE, bfs_distances
+from repro.graphs.balls import shell_members, shell_sizes
+from repro.graphs.distances import UNREACHABLE
+
+# Not called here: perfbench/tracer.py wraps this module's ``bfs_distances``
+# as its ``frontier.bfs_distances`` span, which should count zero calls.
+from repro.graphs.distances import bfs_distances  # noqa: F401
 from repro.graphs.graph import Graph
+from repro.graphs.oracle import DistanceOracle
+from repro.graphs.provider import DistanceProvider
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_node_index
 
@@ -33,50 +43,50 @@ class DistancePowerScheme(AugmentationScheme):
 
     ``exponent = 0`` degenerates to the uniform distribution over the other
     nodes; large exponents concentrate the link on the immediate
-    neighbourhood.
+    neighbourhood.  Pass the experiment's shared provider as ``oracle=`` so
+    the distance rows pool with the routing simulator's (and honour its
+    byte budget and distance mode); by default the scheme creates a private
+    unbounded exact :class:`~repro.graphs.oracle.DistanceOracle`.
     """
 
     scheme_name = "distance_power"
+    uniforms_per_contact = 2  # shell draw + uniform shell-member pick
 
-    def __init__(self, graph: Graph, exponent: float, *, seed: RngLike = None) -> None:
+    def __init__(
+        self,
+        graph: Graph,
+        exponent: float,
+        *,
+        seed: RngLike = None,
+        oracle: Optional[DistanceProvider] = None,
+    ) -> None:
         super().__init__(graph, seed=seed)
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
         self._exponent = float(exponent)
-        self._cache: Dict[int, np.ndarray] = {}
-        self._cumulative: Dict[int, np.ndarray] = {}
+        if oracle is not None and oracle.graph is not graph and not oracle.graph.same_structure(graph):
+            raise ValueError("oracle was built for a different graph")
+        self._oracle = oracle if oracle is not None else DistanceOracle(graph)
 
     @property
     def exponent(self) -> float:
         """The distance-power exponent ``r``."""
         return self._exponent
 
+    @property
+    def oracle(self) -> DistanceProvider:
+        """The distance provider backing the scheme's shell lookups."""
+        return self._oracle
+
     def describe(self) -> str:
         return f"distance_power(r={self._exponent:g}) on {self.graph.name}"
 
-    def reset_cache(self) -> None:
-        self._cache.clear()
-        self._cumulative.clear()
-
-    def _probabilities(self, node: int) -> np.ndarray:
-        probs = self._cache.get(node)
-        if probs is not None:
-            return probs
-        dist = bfs_distances(self._graph, node).astype(float)
-        weights = np.zeros(self._graph.num_nodes)
-        reachable = (dist > 0) & (dist != UNREACHABLE)
-        weights[reachable] = dist[reachable] ** (-self._exponent)
-        total = weights.sum()
-        probs = weights / total if total > 0 else weights
-        self._cache[node] = probs
-        return probs
-
-    def _cumulative_probabilities(self, node: int) -> np.ndarray:
-        cumulative = self._cumulative.get(node)
-        if cumulative is None:
-            cumulative = np.cumsum(self._probabilities(node))
-            self._cumulative[node] = cumulative
-        return cumulative
+    def _shell_weights(self, row: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(|S_d|, d^{-r})`` per shell ``d = 0 … ecc``; the source's shell 0 weighs 0."""
+        sizes = shell_sizes(row)
+        per_node = np.zeros(sizes.size)
+        per_node[1:] = np.arange(1, sizes.size, dtype=np.float64) ** -self._exponent
+        return sizes, per_node
 
     # Bound in this class's own __dict__, not only inherited: the layer
     # tracer (perfbench/tracer.py) wraps ``Class.__dict__["sample_contacts"]``.
@@ -85,28 +95,40 @@ class DistancePowerScheme(AugmentationScheme):
     def sample_contacts_from_uniforms(
         self, nodes: np.ndarray, uniforms: np.ndarray
     ) -> np.ndarray:
-        """Entry-pure inverse-CDF sampling over the cached per-node distributions.
+        """Entry-pure sampling: ``uniforms[0]`` → shell, ``uniforms[1]`` → member.
 
-        One ``searchsorted`` into the node's cumulative distribution per group
-        of entries sharing a node; entry ``i``'s pick is a pure function of
-        ``(nodes[i], uniforms[0, i])``.  Isolated nodes (zero total mass)
-        draw ``NO_CONTACT``.
+        The distinct nodes of the batch are prefetched through the provider's
+        query tier in one batched sweep.  Each entry then draws its shell by
+        inverse CDF over the ``|S_d| · d^{-r}`` weights (a cumsum over the
+        diameter, not over ``n``) and a uniform member of it.  Nodes with no
+        other reachable node (zero total weight) draw ``NO_CONTACT``.
         """
         nodes = self._coerce_batch(nodes)
         uniforms = self._coerce_uniforms(nodes, uniforms)
-        n = self._graph.num_nodes
         out = np.full(nodes.shape, NO_CONTACT, dtype=np.int64)
-        uniq, inverse = np.unique(nodes, return_inverse=True)
-        for j, node in enumerate(uniq.tolist()):
-            lanes = np.nonzero(inverse == j)[0]
-            cumulative = self._cumulative_probabilities(int(node))
-            total = float(cumulative[-1]) if cumulative.size else 0.0
-            if total <= 0.0:
+        uniq, inverse, counts = np.unique(nodes, return_inverse=True, return_counts=True)
+        self._oracle.prefetch_query(uniq.tolist())
+        groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+        for node, lanes in zip(uniq.tolist(), groups):
+            row = self._oracle.query_distances_from(node)
+            sizes, per_node = self._shell_weights(row)
+            cumulative = (sizes * per_node).cumsum()
+            if cumulative.size == 0 or cumulative[-1] <= 0.0:
                 continue
-            picks = np.searchsorted(cumulative, uniforms[0, lanes] * total, side="right")
-            out[lanes] = np.minimum(picks, n - 1)
+            # side="right" skips zero-weight shells: the drawn shell's
+            # cumulative weight strictly exceeds the draw.
+            shells = cumulative.searchsorted(uniforms[0, lanes] * cumulative[-1], side="right")
+            ranks = (uniforms[1, lanes] * sizes[shells]).astype(np.int64)
+            out[lanes] = shell_members(row, shells, ranks)
         return out
 
     def contact_distribution(self, node: int) -> np.ndarray:
         node = check_node_index(node, self._graph.num_nodes)
-        return self._probabilities(node).copy()
+        row = self._oracle.query_distances_from(node)
+        sizes, per_node = self._shell_weights(row)
+        probs = np.zeros(self._graph.num_nodes)
+        total = float(sizes @ per_node)
+        if total > 0.0:
+            reachable = row != UNREACHABLE
+            probs[reachable] = per_node[row[reachable]] / total
+        return probs

@@ -30,8 +30,8 @@ class ExperimentConfig:
         Distance provider every instance oracle uses: ``"exact"`` (default;
         plain BFS oracle) or ``"landmark"`` (pivot sketch for bulk queries,
         exact BFS for routing blocks).  Part of the fingerprint because the
-        sketch changes sampled pairs and ball profiles — landmark cells must
-        never be resumed into an exact artifact (or vice versa).
+        sketch changes sampled pairs and ball/Kleinberg contacts — landmark
+        cells must never be resumed into an exact artifact (or vice versa).
     landmarks:
         Pivot count for ``distance_mode="landmark"``; fingerprinted for the
         same reason (ignored in exact mode but kept stable so exact

@@ -108,7 +108,7 @@ def run_cell(
     if family == SENSITIVITY_FAMILY:
         points: Dict[str, Dict[str, object]] = {}
         for r in EXPONENTS:
-            scheme = DistancePowerScheme(graph, r, seed=seed)
+            scheme = DistancePowerScheme(graph, r, seed=seed, oracle=oracle)
             points[f"{r:g}"] = route_point(
                 graph,
                 scheme,
@@ -121,7 +121,7 @@ def run_cell(
     elif family == SIZE_SWEEP_FAMILY:
         series = {}
         for r, series_name in ((2.0, _CRITICAL_SERIES), (0.0, _UNIFORMISH_SERIES)):
-            scheme = DistancePowerScheme(graph, r, seed=seed)
+            scheme = DistancePowerScheme(graph, r, seed=seed, oracle=oracle)
             series[series_name] = route_point(
                 graph, scheme, config, seed=seed, oracle=oracle, pair_seed=instance_seed
             )

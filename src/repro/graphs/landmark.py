@@ -18,8 +18,8 @@ The *exact tier* is untouched: :meth:`distances_from`, the ``next_local``
 hop tables and :meth:`routing_blocks` are inherited from
 :class:`~repro.graphs.oracle.DistanceOracle` verbatim, because greedy
 routing's strict-``<`` next-hop comparisons need genuine BFS rows — the
-sketch serves estimates (ball profiles, extremal-pair sampling, reporting
-stats), never trajectories.
+sketch serves estimates (the distance-based schemes' shells, extremal-pair
+sampling, reporting stats), never trajectories.
 
 Pivot selection is deterministic in the construction ``seed`` (callers pass
 the instance seed): the first pivot is degree-weighted, the rest follow the
@@ -73,7 +73,7 @@ class LandmarkOracle(DistanceOracle):
         is benched as ``approx_distance`` rows in ``BENCH_routing.json``.
     seed:
         Drives pivot selection deterministically (pass the instance seed).
-    max_entries, max_bytes, cold_dir:
+    max_bytes, cold_dir:
         Inherited exact-tier cache knobs (see :class:`DistanceOracle`).
     """
 
@@ -83,15 +83,12 @@ class LandmarkOracle(DistanceOracle):
         *,
         num_landmarks: int = DEFAULT_NUM_LANDMARKS,
         seed: int = 0,
-        max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
         cold_dir: Optional[str] = None,
     ) -> None:
         if num_landmarks < 1:
             raise ValueError("num_landmarks must be at least 1")
-        super().__init__(
-            graph, max_entries=max_entries, max_bytes=max_bytes, cold_dir=cold_dir
-        )
+        super().__init__(graph, max_bytes=max_bytes, cold_dir=cold_dir)
         self._num_landmarks = int(num_landmarks)
         self._landmark_seed = int(seed)
         #: Pivot node ids (selection order); ``None`` until the lazy build.
@@ -261,7 +258,7 @@ class LandmarkOracle(DistanceOracle):
 
         The row is a pure function of ``(graph, seed, L)`` — deliberately
         *not* upgraded to the exact row when one happens to be cached, so
-        sampled pairs and ball profiles cannot depend on cache state (which
+        sampled pairs and scheme contacts cannot depend on cache state (which
         would break the bitwise parity of parallel / resumed sweeps).
         """
         source = check_node_index(int(source), self._graph.num_nodes, "source")

@@ -1,4 +1,4 @@
-"""Shared, LRU-capped distance oracle over the frontier BFS engine.
+"""Shared, byte-budgeted distance oracle over the frontier BFS engine.
 
 The routing simulator, the Theorem-4 ball scheme and the decomposition
 measures all repeatedly ask for "the distance array from node *u*" — often
@@ -11,22 +11,21 @@ decomposition-local oracle in ``repro.decomposition.bags``).  The
 * per-source distance arrays are computed by the vectorized engine in
   :mod:`repro.graphs.frontier` and returned as read-only views, so a cached
   array can be shared freely across callers,
-* an optional ``max_entries`` cap turns the cache into a proper LRU so a long
-  experiment sweep over many targets cannot exhaust memory,
 * :meth:`prefetch` fills many sources at once through the *batched* engine
   (:func:`repro.graphs.frontier.bfs_distances_many`), one numpy pass per BFS
   level for the whole batch; :meth:`distances_to_many` returns the warmed
   arrays as one ``(k, n)`` block for lane-style consumers,
-* ball queries (:meth:`ball`, :meth:`ball_size`) reuse whatever distance
-  array is already cached,
+* the distance-based schemes (Theorem 4's balls, Kleinberg's distance
+  power) read their shells off the cached rows through the query tier and
+  keep no copies of their own (:mod:`repro.graphs.balls`),
 * :meth:`next_local_to` serves the lane routing engine's per-target
   ``next_local`` pointer tables: for every node, its best *local* next hop
   towards the target (first CSR-order neighbour at minimum distance, the
   exact candidate :func:`repro.routing.greedy.greedy_route` would scan to).
   Computed with one vectorized CSR segment-argmin pass over the cached
   distance array — or read straight off the BFS parent pointers on trees,
-  where the improving neighbour is unique — and memoised under the same LRU
-  policy as the distance arrays,
+  where the improving neighbour is unique — and memoised alongside the
+  distance arrays,
 * :meth:`next_local_to_many` builds the tables for a whole batch of targets
   in **one** transposed composite-key pass over the stacked distance block
   (see :func:`next_local_pointers_many`), which is what erases the lane
@@ -41,11 +40,11 @@ decomposition-local oracle in ``repro.decomposition.bags``).  The
   spill a warmed oracle to disk and rebuild it in another process without a
   single repeated BFS.
 
-**Memory tiers.**  Beyond the entry-count LRU, ``max_bytes=`` turns the
-oracle into a byte-budgeted two-tier cache: rows evicted from the dense hot
-tier are *spilled* to an anonymous memory-mapped backing file (the cold
-tier) instead of being dropped, and promoted back on access — an accounted
-cache hit, so ``--stats`` hit rates stay exact.  Rows absorbed from a
+**Memory tiers.**  ``max_bytes=`` turns the oracle into a byte-budgeted
+two-tier cache: the least-recently-used rows of the dense hot tier are
+*spilled* to an anonymous memory-mapped backing file (the cold tier) instead
+of being dropped, and promoted back on access — an accounted cache hit, so
+``--stats`` hit rates stay exact.  Rows absorbed from a
 :class:`~repro.graphs.store.GraphStore` spill with ``copy=False`` stay
 memmap-backed views of the (page-shared, read-only) spill file and are
 exempt from the budget — the kernel reclaims those pages on its own.
@@ -323,21 +322,16 @@ class _ColdTier:
 
 
 class DistanceOracle:
-    """Memoised single-source BFS oracle with entry- and byte-bounded tiers.
+    """Memoised single-source BFS oracle with byte-bounded tiers.
 
     ``oracle(u, v)`` returns ``dist_G(u, v)``; each distinct source costs one
     BFS (vectorized, frontier-batched), cached for the lifetime of the oracle
-    or until evicted by the LRU policy.
+    (spilled to the cold tier, never dropped, under a byte budget).
 
     Parameters
     ----------
     graph:
         The graph the oracle answers queries about.
-    max_entries:
-        Optional cap on the number of cached distance arrays.  ``None``
-        (default) caches every source ever queried — the historical
-        behaviour of the per-subsystem caches this class replaces.
-        Entry-cap evictions *drop* rows (historical semantics).
     max_bytes:
         Optional byte budget over the dense resident state (hot rows plus
         the :meth:`routing_blocks` backing buffers).  When crossed, the
@@ -354,16 +348,12 @@ class DistanceOracle:
         self,
         graph: Graph,
         *,
-        max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
         cold_dir: Optional[str] = None,
     ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be at least 1 (or None for unbounded)")
         if max_bytes is not None and max_bytes < 1:
             raise ValueError("max_bytes must be at least 1 (or None for unbounded)")
         self._graph = graph
-        self._max_entries = max_entries
         self._max_bytes = max_bytes
         self._cold_dir = cold_dir
         #: Uniform dtype of every cached row (int32 below 2**31 nodes).
@@ -416,11 +406,6 @@ class DistanceOracle:
     def mode(self) -> str:
         """This provider's ``distance_mode`` name (see :mod:`repro.graphs.provider`)."""
         return "exact"
-
-    @property
-    def max_entries(self) -> Optional[int]:
-        """LRU capacity (``None`` means unbounded)."""
-        return self._max_entries
 
     @property
     def max_bytes(self) -> Optional[int]:
@@ -589,10 +574,6 @@ class DistanceOracle:
         else:
             self._hot_bytes += dist.nbytes
         self._touch("d", source)
-        if self._max_entries is not None:
-            while len(self._cache) > self._max_entries:
-                key, row = self._cache.popitem(last=False)
-                self._forget("d", key, row)
         self._enforce_budget()
 
     def distances_from(self, source: int) -> np.ndarray:
@@ -752,10 +733,6 @@ class DistanceOracle:
         else:
             self._hot_bytes += table.nbytes
         self._touch("l", target)
-        if self._max_entries is not None:
-            while len(self._next_local) > self._max_entries:
-                key, row = self._next_local.popitem(last=False)
-                self._forget("l", key, row)
         self._enforce_budget()
 
     def next_local_to_many(self, targets: Sequence[int]) -> np.ndarray:
@@ -803,19 +780,14 @@ class DistanceOracle:
                 continue
             seen.add(t)
             missing.append(t)
-        if self._max_entries is not None and len(missing) > self._max_entries:
-            # Mirror prefetch(): keep the head of the batch — those are the
-            # rows consumed (by the caller) before any later insert can
-            # evict them.
-            missing = missing[: self._max_entries]
         if missing:
             dist_block = self.distances_to_many(missing)
             tables = next_local_pointers_many(
                 self._graph, dist_block, padded=self._padded_adjacency()
             )
             for row, t in enumerate(missing):
-                # Copy each row out of the block so the LRU cap can release
-                # the block's memory row by row (same policy as prefetch).
+                # Copy each row out of the block so the byte budget can
+                # release the block's memory row by row (same as prefetch).
                 table = tables[row].copy()
                 table.setflags(write=False)
                 self._store_next_local(t, table)
@@ -926,36 +898,13 @@ class DistanceOracle:
             missing.append(s)
         if not missing:
             return
-        if self._max_entries is not None and len(missing) > self._max_entries:
-            # Keep the *head* of the batch: callers consume sources in batch
-            # order, so the first max_entries entries are the ones that will
-            # be hit before any later miss can evict them.
-            missing = missing[: self._max_entries]
         block = bfs_distances_many(self._graph, missing)
         self._misses += len(missing)
         for row, s in enumerate(missing):
             # Copy each row out of the (k, n) block: storing views would pin
             # the whole block in memory for as long as any one row survives
-            # in the cache, defeating the max_entries cap.
+            # in the cache, defeating the byte budget.
             self._store(s, block[row].copy())
-
-    # ------------------------------------------------------------------ #
-    # Ball queries (Theorem-4 scheme)
-    # ------------------------------------------------------------------ #
-
-    def ball(self, center: int, radius: int) -> np.ndarray:
-        """Sorted members of ``B(center, radius)``, served from the cached BFS."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        dist = self.distances_from(center)
-        return np.nonzero((dist != UNREACHABLE) & (dist <= radius))[0]
-
-    def ball_size(self, center: int, radius: int) -> int:
-        """``|B(center, radius)|`` without materialising the member array."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        dist = self.distances_from(center)
-        return int(np.count_nonzero((dist != UNREACHABLE) & (dist <= radius)))
 
     # ------------------------------------------------------------------ #
     # Spill round-trip (GraphStore)
@@ -1005,7 +954,7 @@ class DistanceOracle:
 
         Absorbed arrays count as neither hits nor misses (the ``preloaded``
         counter tracks them), entries already cached are left untouched, and
-        the LRU cap applies as usual — so absorbing is observationally
+        the byte budget applies as usual — so absorbing is observationally
         identical to having computed the arrays locally, minus the BFS.
 
         With ``copy=False`` and blocks already in the oracle's row dtype

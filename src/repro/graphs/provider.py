@@ -1,9 +1,10 @@
 """The pluggable distance-provider layer: one protocol, many distance sources.
 
 Every routing-adjacent subsystem — the lane engine, the simulator, the
-Theorem-4 ball scheme, the decomposition measures, the experiment pipeline,
-the session facade and the serve daemon — consumes distances through the same
-surface.  Historically that surface *was* the concrete
+distance-based schemes (Theorem-4 ball, Kleinberg distance power), the
+decomposition measures, the experiment pipeline, the session facade and the
+serve daemon — consumes distances through the same surface.  Historically
+that surface *was* the concrete
 :class:`~repro.graphs.oracle.DistanceOracle`; this module names it as a
 :class:`typing.Protocol` so "what the routing layers consume" is decoupled
 from "how distances are produced":
@@ -15,11 +16,14 @@ from "how distances are produced":
   engine's step comparisons consume the same rows — an approximate row here
   would corrupt trajectories, not just estimates,
 * the **query tier** (``query_distances_from``, ``prefetch_query``) is where
-  bulk distance *queries* — ball profiles, extremal-pair sampling, reporting
-  stats — go.  An exact provider serves the same cached BFS rows on both
-  tiers; an approximate provider (:class:`~repro.graphs.landmark.LandmarkOracle`)
-  answers the query tier from a landmark sketch instead, which is what makes
-  million-node cells *cheap* and not merely memory-bounded.
+  bulk distance *queries* go: the ball and Kleinberg schemes' contact draws
+  (read off the row by :mod:`repro.graphs.balls`, nothing kept),
+  extremal-pair sampling and reporting stats.  An exact provider serves the
+  same cached BFS rows on both tiers; an approximate provider
+  (:class:`~repro.graphs.landmark.LandmarkOracle`) answers the query tier
+  from a landmark sketch instead, which is what makes million-node cells
+  *cheap* and not merely memory-bounded — and what those two schemes then
+  draw their contacts from.
 
 Selection is by ``distance_mode``: :func:`make_distance_provider` maps the
 mode names in :data:`DISTANCE_MODES` to constructors, and everything above
@@ -85,16 +89,12 @@ class DistanceProvider(Protocol):
 
     def prefetch(self, sources: Iterable[int]) -> None: ...
 
-    def ball(self, center: int, radius: int) -> np.ndarray: ...
-
-    def ball_size(self, center: int, radius: int) -> int: ...
-
     def __call__(self, u: int, v: int) -> int: ...
 
     # -- query tier (bulk estimates; may ride a sketch) ----------------- #
 
     def query_distances_from(self, source: int) -> np.ndarray:
-        """Distance array for *bulk queries* (ball profiles, pair sampling).
+        """Distance array for *bulk queries* (scheme shells, pair sampling).
 
         Exact providers return the cached BFS row; approximate providers may
         return an admissible estimate (every entry ``>=`` the true distance,
@@ -143,7 +143,6 @@ def make_distance_provider(
     *,
     landmarks: int = 16,
     seed: int = 0,
-    max_entries: Optional[int] = None,
     max_bytes: Optional[int] = None,
     cold_dir: Optional[str] = None,
 ) -> DistanceProvider:
@@ -157,9 +156,7 @@ def make_distance_provider(
     :class:`ValueError` naming the available ones.
     """
     if mode == "exact":
-        return DistanceOracle(
-            graph, max_entries=max_entries, max_bytes=max_bytes, cold_dir=cold_dir
-        )
+        return DistanceOracle(graph, max_bytes=max_bytes, cold_dir=cold_dir)
     if mode == "landmark":
         from repro.graphs.landmark import LandmarkOracle
 
@@ -167,7 +164,6 @@ def make_distance_provider(
             graph,
             num_landmarks=landmarks,
             seed=seed,
-            max_entries=max_entries,
             max_bytes=max_bytes,
             cold_dir=cold_dir,
         )

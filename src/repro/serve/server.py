@@ -15,8 +15,10 @@ The server is distance-provider agnostic: it talks to the session, and the
 session talks to whatever :class:`~repro.graphs.provider.DistanceProvider`
 it was opened with.  The ``info`` op therefore surfaces the session's
 ``distance_mode`` (plus ``landmarks`` / ``mean_stretch`` in landmark mode)
-without any serve-layer wiring — served trajectories themselves always ride
-the provider's exact tier, so routed outcomes are mode-independent.
+without any serve-layer wiring.  Served trajectories always ride the
+provider's exact tier; only the ball and Kleinberg schemes' contact draws
+read the query tier, so with any other scheme routed outcomes are
+mode-independent.
 """
 
 from __future__ import annotations

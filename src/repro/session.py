@@ -113,9 +113,9 @@ def open_session(
         built with the wanted ``distance_mode``.
     distance_mode:
         Distance provider mode for the session's instance: ``"exact"``
-        (default) or ``"landmark"`` (pivot sketch for bulk queries; served
-        trajectories always use the exact tier, so routed outcomes are
-        mode-independent).
+        (default) or ``"landmark"`` (pivot sketch for bulk queries, which
+        the ball and Kleinberg schemes sample from; routing itself always
+        uses the exact tier).
     landmarks:
         Pivot count for ``distance_mode="landmark"``.
     kernel_backend:
@@ -141,7 +141,9 @@ def open_session(
         )
     entry = store.instance(family, n, seed, lambda size, s: build_family_graph(family, size, s))
     try:
-        scheme_obj = make_scheme(scheme, entry.graph, seed=seed, **(scheme_kwargs or {}))
+        scheme_obj = make_scheme(
+            scheme, entry.graph, seed=seed, oracle=entry.oracle, **(scheme_kwargs or {})
+        )
     except KeyError as exc:
         # The registry raises KeyError; the session surface promises ValueError
         # for every bad-argument path (family, scheme, sizes alike).

@@ -125,20 +125,23 @@ class TestDerivedSamplers:
         assert "sample_contact" not in vars(cls)
 
 
-class TestBallProfileCache:
-    def test_profiles_respect_oracle_lru_cap(self):
-        from repro.graphs.oracle import DistanceOracle
+class TestStatelessDistanceSchemes:
+    """Ball and Kleinberg keep no per-node state: every row lives in the provider."""
 
+    @pytest.mark.parametrize("scheme_name", ["ball", "kleinberg"])
+    def test_sampling_leaves_no_per_node_state(self, scheme_name):
         g = generators.cycle_graph(32)
-        oracle = DistanceOracle(g, max_entries=3)
-        scheme = BallScheme(g, seed=1, oracle=oracle)
-        scheme.sample_contacts(np.arange(10), np.random.default_rng(0))
-        assert len(scheme._profiles) <= 3
+        scheme = _scheme_for(scheme_name, g)
 
-    def test_reset_cache_drops_profiles(self):
-        g = generators.cycle_graph(16)
-        scheme = BallScheme(g, seed=1)
-        scheme.sample_contacts(np.arange(8), np.random.default_rng(0))
-        assert len(scheme._profiles) > 0
-        scheme.reset_cache()
-        assert len(scheme._profiles) == 0
+        def arrays():
+            return {k: v.copy() for k, v in vars(scheme).items() if isinstance(v, np.ndarray)}
+
+        before = arrays()
+        scheme.sample_contacts(np.arange(32), np.random.default_rng(0))
+        scheme.contact_distribution(5)
+        assert not [k for k, v in vars(scheme).items() if isinstance(v, (dict, list, set))]
+        after = arrays()
+        assert after.keys() == before.keys()
+        for key, value in before.items():
+            np.testing.assert_array_equal(after[key], value)
+        assert scheme.oracle.cache_size() == 32

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.base import NO_CONTACT
 from repro.core.kleinberg import DistancePowerScheme
 from repro.graphs import generators
 from repro.graphs.distances import bfs_distances
+from repro.graphs.graph import Graph
+from repro.graphs.oracle import DistanceOracle
 
 
 class TestDistancePowerScheme:
@@ -45,12 +48,6 @@ class TestDistancePowerScheme:
         with pytest.raises(ValueError):
             DistancePowerScheme(path8, -1.0)
 
-    def test_cache_reset(self, path8):
-        scheme = DistancePowerScheme(path8, 1.0)
-        scheme.contact_distribution(0)
-        scheme.reset_cache()
-        assert scheme._cache == {}
-
     def test_exponent_property_and_describe(self, path8):
         scheme = DistancePowerScheme(path8, 2.5)
         assert scheme.exponent == 2.5
@@ -66,3 +63,44 @@ class TestDistancePowerScheme:
         for _ in range(samples):
             counts[scheme.sample_contact(0, rng)] += 1
         assert np.all(np.abs(counts / samples - probs) < 0.05)
+
+
+def _disconnected():
+    """A path, a ring and an isolated node (12)."""
+    edges = [(i, i + 1) for i in range(4)] + [(5 + i, 5 + (i + 1) % 7) for i in range(7)]
+    return Graph.from_edges(13, edges, name="path+ring+isolated")
+
+
+class TestShellSampling:
+    """Shell draw ∝ |S_d|·d^-r, then a uniform member, off the provider's rows."""
+
+    @pytest.mark.parametrize("exponent", [0.0, 2.0, 6.0])
+    def test_frequencies_match_distribution_on_disconnected_graph(self, exponent):
+        graph = _disconnected()
+        oracle = DistanceOracle(graph)
+        scheme = DistancePowerScheme(graph, exponent, seed=3, oracle=oracle)
+        draws = 4000
+        rng = np.random.default_rng(7)
+        for node in (0, 2, 8):
+            exact = scheme.contact_distribution(node)
+            assert exact.sum() == pytest.approx(1.0)
+            samples = scheme.sample_contacts(np.full(draws, node), rng)
+            assert np.all(samples != NO_CONTACT)
+            assert np.all(exact[samples] > 0.0)
+            counts = np.bincount(samples, minlength=graph.num_nodes)
+            np.testing.assert_allclose(counts / draws, exact, atol=0.035)
+        # The isolated node has no other reachable node: no long-range link.
+        assert scheme.contact_distribution(12).sum() == 0.0
+        isolated = scheme.sample_contacts(np.full(50, 12), rng)
+        assert np.all(isolated == NO_CONTACT)
+        # Every row came from the injected provider.
+        assert oracle.cache_size() == 4
+
+    def test_default_provider_is_private_exact_oracle(self, cycle12):
+        scheme = DistancePowerScheme(cycle12, 2.0)
+        assert isinstance(scheme.oracle, DistanceOracle)
+        assert scheme.oracle.mode == "exact"
+
+    def test_rejects_foreign_oracle(self, cycle12, path8):
+        with pytest.raises(ValueError):
+            DistancePowerScheme(cycle12, 2.0, oracle=DistanceOracle(path8))

@@ -13,7 +13,7 @@ import pytest
 from repro.analysis.reporting import CellArtifact, load_cell_artifact
 from repro.core.ball_scheme import BallScheme
 from repro.core.uniform import UniformScheme
-from repro.experiments import exp_ball_scheme, exp_uniform
+from repro.experiments import exp_ball_scheme, exp_kleinberg, exp_uniform
 from repro.experiments.common import (
     SweepCache,
     derive_cell_seed,
@@ -117,6 +117,36 @@ class TestOracleReuse:
             private_misses += oracle.misses
         assert shared_misses < private_misses
 
+    def test_kleinberg_sensitivity_cell_computes_each_row_once(self, monkeypatch):
+        """EXP-7's five exponent schemes sample from the cell's oracle: every
+        BFS row is an accounted miss, computed once, and no private BFS runs."""
+        import repro.core.kleinberg as kleinberg_module
+        import repro.graphs.oracle as oracle_module
+
+        def private_bfs(*args, **kwargs):
+            raise AssertionError("the Kleinberg scheme ran a private BFS")
+
+        monkeypatch.setattr(kleinberg_module, "bfs_distances", private_bfs)
+        rows = []
+        for name, sources_of in (
+            ("bfs_distances_many", list),
+            ("frontier_bfs", lambda source: [source]),
+            ("frontier_bfs_tree", lambda source: [source]),
+        ):
+            def counted(graph, sources, *args, _bfs=getattr(oracle_module, name),
+                        _sources_of=sources_of, **kwargs):
+                rows.extend(int(s) for s in _sources_of(sources))
+                return _bfs(graph, sources, *args, **kwargs)
+
+            monkeypatch.setattr(oracle_module, name, counted)
+        factory = _RecordingFactory()
+        exp_kleinberg.run_cell(
+            TINY, exp_kleinberg.SENSITIVITY_FAMILY, max(TINY.sizes), oracle_factory=factory
+        )
+        (oracle,) = factory.oracles
+        assert len(rows) == oracle.misses > 0
+        assert len(set(rows)) == len(rows)
+
     def test_full_quick_sweep_reuses_bfs(self):
         factory = _RecordingFactory()
         run_all(TINY, jobs=1, oracle_factory=factory, stats={})
@@ -217,14 +247,17 @@ class TestResume:
         assert len(stats["executed"]) == len(exp_uniform.cell_keys(other))
         assert stats["skipped"] == []
 
-    def test_resume_recomputes_schema_v2_artifacts(self, tmp_path):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_resume_recomputes_older_schema_artifacts(self, tmp_path, version):
         # Version-2 artifacts were routed on other random streams and their
-        # config fingerprint carries the removed ``engine`` field.
+        # config fingerprint carries the removed ``engine`` field; version-3
+        # EXP-7 cells drew Kleinberg contacts with the old one-uniform sampler.
         run_all(TINY, only=["EXP-1"], artifacts_dir=tmp_path)
         for path in tmp_path.glob("*.json"):
             data = json.loads(path.read_text())
-            data["schema_version"] = 2
-            data["config"]["engine"] = "lane"
+            data["schema_version"] = version
+            if version == 2:
+                data["config"]["engine"] = "lane"
             path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="no experiment artifacts"):
             results_from_artifacts(tmp_path)

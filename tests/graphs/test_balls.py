@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.graphs import generators
-from repro.graphs.balls import ball, ball_ranks, ball_sizes, growth_function, nodes_within
+from repro.graphs.balls import ball, ball_sizes, shell_members, shell_sizes
 from repro.graphs.distances import bfs_distances
+from repro.graphs.graph import Graph
 
 
 class TestBalls:
@@ -37,35 +38,30 @@ class TestBalls:
         g = generators.path_graph(4)
         assert ball_sizes(g, 0, []) == {}
 
-    def test_nodes_within_helper(self):
-        g = generators.path_graph(6)
-        dist = bfs_distances(g, 0)
-        assert list(nodes_within(dist, 2)) == [0, 1, 2]
 
-    def test_growth_function_monotone(self):
-        g = generators.grid_graph([4, 4])
-        growth = growth_function(g, 0)
-        assert growth[0] == 1
-        assert growth[-1] == 16
-        assert np.all(np.diff(growth) >= 0)
+class TestShells:
+    """The stateless shell primitive the distance-based schemes sample with."""
 
-    def test_ball_ranks_definition(self):
-        g = generators.path_graph(40)
-        num_levels = 5
-        ranks = ball_ranks(g, 0, num_levels=num_levels)
-        dist = bfs_distances(g, 0)
-        for v in range(40):
-            if dist[v] == 0:
-                assert ranks[v] == 1
-            elif dist[v] <= 2 ** num_levels:
-                # r(v) is the smallest k with dist <= 2^k.
-                k = ranks[v]
-                assert dist[v] <= 2 ** k
-                assert k == 1 or dist[v] > 2 ** (k - 1)
-            else:
-                assert ranks[v] == num_levels + 1
+    def _path_plus_isolated(self):
+        return Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
-    def test_ball_ranks_requires_positive_levels(self):
-        g = generators.path_graph(4)
-        with pytest.raises(ValueError):
-            ball_ranks(g, 0, num_levels=0)
+    def test_shell_sizes_skip_unreachable(self):
+        row = bfs_distances(self._path_plus_isolated(), 2)
+        assert shell_sizes(row).tolist() == [1, 2, 2]
+        assert shell_sizes(bfs_distances(self._path_plus_isolated(), 5)).tolist() == [1]
+
+    def test_shell_sizes_empty_when_nothing_reachable(self):
+        row = np.full(4, -1, dtype=np.int32)
+        assert shell_sizes(row).size == 0
+
+    def test_cumulative_shell_sizes_are_ball_sizes(self):
+        g = generators.grid_graph([5, 5])
+        cumulative = np.cumsum(shell_sizes(bfs_distances(g, 12)))
+        assert cumulative.tolist() == [
+            size for _, size in sorted(ball_sizes(g, 12, list(range(cumulative.size))).items())
+        ]
+
+    def test_shell_members_in_id_order(self):
+        row = bfs_distances(generators.cycle_graph(8), 0)  # shells 1: {1, 7}, 2: {2, 6}
+        members = shell_members(row, np.array([1, 1, 2, 2, 0]), np.array([0, 1, 0, 1, 0]))
+        assert members.tolist() == [1, 7, 2, 6, 0]

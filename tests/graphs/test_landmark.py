@@ -261,8 +261,7 @@ class TestLandmarkRouting:
         estimates = {}
         for mode in DISTANCE_MODES:
             oracle = make_distance_provider(graph, mode, landmarks=8, seed=17)
-            kwargs = {"oracle": oracle} if scheme_name == "ball" else {}
-            scheme = make_scheme(scheme_name, graph, seed=17, **kwargs)
+            scheme = make_scheme(scheme_name, graph, seed=17, oracle=oracle)
             estimates[mode] = estimate_greedy_diameter(
                 graph,
                 scheme,
@@ -295,7 +294,7 @@ class TestBFSSavings:
     def test_ring_ball_cell_five_x_fewer_sweeps(self):
         """Acceptance: landmark mode needs >= 5x fewer full-graph BFS sweeps.
 
-        In exact mode every route-visited node's ball profile and every
+        In exact mode every route-visited node's ball draw and every
         sampled pair source costs one BFS; in landmark mode those ride the
         sketch and only the L pivots plus the routing-block targets pay one.
         """
@@ -313,30 +312,25 @@ class TestBFSSavings:
         # The sketch answered the bulk queries BFS used to serve.
         assert landmark.sketch_queries > 0
 
-    def test_profile_cache_honours_oracle_byte_budget(self):
-        """A max_bytes oracle bounds the scheme's profile cache too.
+    def test_sketch_sampling_honours_oracle_byte_budget(self):
+        """Ball sampling in landmark mode stays inside the provider's budget.
 
-        Ball profiles are two full-width arrays per node (~16 MB each at
-        n = 10^6) — without the byte cap they defeat the oracle budget the
-        million-node cell depends on.
+        The scheme keeps no rows of its own, and sketch rows are computed
+        per query, so 64 sampled nodes add no exact-tier rows beyond the
+        pivots' and nothing outside the budget.
         """
         n = 512
         graph = generators.cycle_graph(n)
-        # Budget fits a handful of int32 rows; each profile is ~2 rows wide.
-        budget = 16 * n * 4
+        budget = 16 * n * 4  # a handful of int32 rows
         oracle = LandmarkOracle(graph, num_landmarks=4, seed=3, max_bytes=budget)
         scheme = BallScheme(graph, seed=3, oracle=oracle)
         rng = np.random.default_rng(3)
-        for node in rng.integers(0, n, size=64):
-            scheme._ball_profile(int(node))
-        assert scheme._profile_bytes <= budget
-        assert 1 <= len(scheme._profiles) < 64
-        # The newest profile is always resident and still a sorted profile
-        # (sketch distances under a landmark provider: est(u, u) > 0).
-        newest = next(reversed(scheme._profiles))
-        dist_sorted, ids = scheme._ball_profile(newest)
-        assert dist_sorted.size == ids.size == n
-        assert (np.diff(dist_sorted) >= 0).all()
+        contacts = scheme.sample_contacts(rng.integers(0, n, size=64), rng)
+        # est(u, u) > 0 off the pivots, so small sketch balls may be empty.
+        assert np.all(contacts < n) and np.count_nonzero(contacts >= 0) > 32
+        assert oracle.sketch_queries > 0
+        assert oracle.misses == 4  # the pivot sweeps, nothing per sampled node
+        assert oracle.resident_bytes() <= budget
 
     @pytest.mark.skipif(
         not os.environ.get("REPRO_LANDMARK_FULL"),
@@ -349,8 +343,8 @@ class TestBFSSavings:
         500k-diameter ring); instead every sketch-served query row is counted
         — each distinct one is a BFS sweep exact mode would have paid — and
         the 5x claim is checked against the sweeps landmark mode did run.
-        The oracle carries the acceptance run's 512 MiB budget, which also
-        caps the ball scheme's profile cache (16 MB per visited node).
+        The oracle carries the acceptance run's 512 MiB budget; the ball
+        scheme keeps no rows of its own.
         """
         n = 1_000_000
         graph = generators.cycle_graph(n)

@@ -1,4 +1,4 @@
-"""Unit tests for the shared LRU-capped DistanceOracle."""
+"""Unit tests for the shared, byte-budgeted DistanceOracle."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,17 @@ import pytest
 from repro.graphs import generators
 from repro.graphs.distances import UNREACHABLE, bfs_distances
 from repro.graphs.oracle import DistanceOracle
-from repro.graphs.balls import ball
+
+
+def _rows(graph, count):
+    """A byte budget of *count* cached rows of *graph*."""
+    return count * DistanceOracle(graph).distances_from(0).nbytes
+
+
+def _spilled(oracle, kind="d"):
+    """Keys of the distance rows ("d") or hop tables ("l") in the cold tier."""
+    cold = oracle._cold_tier
+    return sorted(key for k, key in cold._slots if k == kind) if cold is not None else []
 
 
 class TestBasicQueries:
@@ -50,19 +60,17 @@ class TestCachePolicy:
         assert oracle.cache_size() == 1
 
     def test_lru_eviction(self, cycle12):
-        oracle = DistanceOracle(cycle12, max_entries=2)
+        oracle = DistanceOracle(cycle12, max_bytes=_rows(cycle12, 2))
         oracle.distances_from(0)
         oracle.distances_from(1)
         oracle.distances_from(0)  # refresh 0 -> 1 is now least recent
-        oracle.distances_from(2)  # evicts 1
+        oracle.distances_from(2)  # spills 1
         assert oracle.cache_size() == 2
+        assert _spilled(oracle) == [1]
         misses = oracle.misses
-        oracle.distances_from(1)  # must recompute
-        assert oracle.misses == misses + 1
-
-    def test_invalid_cap_rejected(self, cycle12):
-        with pytest.raises(ValueError):
-            DistanceOracle(cycle12, max_entries=0)
+        oracle.distances_from(1)  # promoted back from the cold tier, no BFS
+        assert oracle.misses == misses
+        assert oracle.cold_hits == 1
 
     def test_clear(self, cycle12):
         oracle = DistanceOracle(cycle12)
@@ -91,32 +99,12 @@ class TestPrefetch:
         assert oracle.misses == misses
 
     def test_prefetch_respects_cap(self, cycle12):
-        oracle = DistanceOracle(cycle12, max_entries=3)
+        budget = _rows(cycle12, 3)
+        oracle = DistanceOracle(cycle12, max_bytes=budget)
         oracle.prefetch(range(10))
         assert oracle.cache_size() == 3
-
-
-class TestBallQueries:
-    def test_ball_matches_module_function(self, grid4x4):
-        oracle = DistanceOracle(grid4x4)
-        for center in (0, 5, 15):
-            for radius in (0, 1, 2, 4):
-                np.testing.assert_array_equal(
-                    oracle.ball(center, radius), ball(grid4x4, center, radius)
-                )
-
-    def test_ball_size(self, cycle12):
-        oracle = DistanceOracle(cycle12)
-        assert oracle.ball_size(0, 0) == 1
-        assert oracle.ball_size(0, 1) == 3
-        assert oracle.ball_size(0, 6) == 12
-
-    def test_negative_radius_rejected(self, cycle12):
-        oracle = DistanceOracle(cycle12)
-        with pytest.raises(ValueError):
-            oracle.ball(0, -1)
-        with pytest.raises(ValueError):
-            oracle.ball_size(0, -2)
+        assert oracle.resident_bytes() <= budget
+        assert _spilled(oracle) == list(range(7))  # oldest first out
 
 
 class TestSharedAcrossSubsystems:
@@ -131,10 +119,10 @@ class TestSharedAcrossSubsystems:
         oracle = DistanceOracle(cycle12)
         scheme = BallScheme(cycle12, seed=0, oracle=oracle)
         assert scheme.oracle is oracle
-        scheme.sample_contact(0)
-        assert oracle.cache_size() >= 1
-        scheme.reset_cache()
-        assert oracle.cache_size() == 0
+        scheme.sample_contacts(np.array([0, 3, 3, 0, 7]))
+        scheme.contact_distribution(3)
+        # One batched sweep for the three distinct nodes, then cache hits.
+        assert (oracle.misses, oracle.cache_size()) == (3, 3)
 
     def test_ball_scheme_rejects_foreign_oracle(self, cycle12, path8):
         from repro.core.ball_scheme import BallScheme
@@ -223,10 +211,15 @@ class TestNextLocal:
             a[0] = 0
 
     def test_lru_cap_applies(self, cycle12):
-        oracle = DistanceOracle(cycle12, max_entries=2)
+        # Each target costs a distance row and a hop table: a two-row budget
+        # keeps only the newest pair hot and spills every older one.
+        budget = _rows(cycle12, 2)
+        oracle = DistanceOracle(cycle12, max_bytes=budget)
         for t in range(5):
             oracle.next_local_to(t)
-        assert len(oracle._next_local) <= 2
+        assert oracle.resident_bytes() <= budget
+        assert _spilled(oracle, "l") == [0, 1, 2, 3]
+        assert _spilled(oracle, "d") == [0, 1, 2, 3]
 
     def test_clear_drops_tables(self, cycle12):
         oracle = DistanceOracle(cycle12)
@@ -336,12 +329,16 @@ class TestNextLocalMany:
         assert oracle.misses == misses
 
     def test_lru_cap_respected(self, cycle12):
-        oracle = DistanceOracle(cycle12, max_entries=2)
+        budget = _rows(cycle12, 2)
+        oracle = DistanceOracle(cycle12, max_bytes=budget)
         block = oracle.next_local_to_many([1, 2, 3, 4])
         reference = DistanceOracle(cycle12)
         for row, t in enumerate([1, 2, 3, 4]):
             np.testing.assert_array_equal(block[row], reference.next_local_to(t))
-        assert oracle.next_local_cache_size() <= 2
+        assert oracle.resident_bytes() <= budget
+        # Tables over the budget are spilled, never dropped.
+        assert sorted(list(oracle._next_local) + _spilled(oracle, "l")) == [1, 2, 3, 4]
+        assert _spilled(oracle, "l")
 
     def test_empty_targets(self, cycle12):
         oracle = DistanceOracle(cycle12)
@@ -407,16 +404,14 @@ class TestNextLocalAccounting:
         assert (oracle.hits, oracle.misses) == (0, 1)
 
     def test_lookup_refreshes_lru_position(self, cycle12):
-        oracle = DistanceOracle(cycle12, max_entries=2)
+        # Three rows fit: distance rows 0 and 1 plus hop table 0.
+        oracle = DistanceOracle(cycle12, max_bytes=_rows(cycle12, 3))
         oracle.distances_from(0)
         oracle.distances_from(1)  # LRU order: 0 (oldest), 1
         oracle.next_local_to(0)   # must refresh 0 -> 1 is now the oldest
-        oracle.distances_from(2)  # evicts 1, keeps 0
-        misses = oracle.misses
-        oracle.distances_from(0)
-        assert oracle.misses == misses  # still cached: the refresh happened
-        oracle.distances_from(1)
-        assert oracle.misses == misses + 1  # 1 was the eviction victim
+        oracle.distances_from(2)  # spills 1, keeps 0
+        assert _spilled(oracle) == [1]  # 1 was the eviction victim
+        assert _spilled(oracle, "l") == []
 
     def test_tree_fast_path_still_counts_one_miss(self, tree15):
         oracle = DistanceOracle(tree15)

@@ -147,18 +147,3 @@ class TestExportWithColdTier:
             oracle.distances_from(3), DistanceOracle(cycle).distances_from(3)
         )
 
-
-class TestEntryCapUnchanged:
-    """max_entries keeps its historical drop-on-evict semantics."""
-
-    def test_entry_evictions_drop_not_spill(self, cycle):
-        oracle = DistanceOracle(cycle, max_entries=2)
-        for s in range(6):
-            oracle.distances_from(s)
-        assert oracle.cache_size() == 2
-        assert oracle.cold_spills == 0
-        assert oracle.memory_stats()["cold_entries"] == 0
-        # Dropped row recomputes: a miss, exactly as before the tiers.
-        misses = oracle.misses
-        oracle.distances_from(0)
-        assert oracle.misses == misses + 1

@@ -177,6 +177,41 @@ class TestBatchedTrajectoryIdentity:
             assert len(walks) == 5
 
 
+class TestDistanceSchemesShareTheProvider:
+    """Ball and Kleinberg sample from the session's provider, under its budget."""
+
+    @pytest.mark.parametrize("scheme_name", ["ball", "kleinberg"])
+    def test_scheme_oracle_is_the_session_provider(self, scheme_name):
+        with open_session(_FAMILY, _N, seed=_SEED, scheme=scheme_name) as session:
+            assert session.scheme.oracle is session.oracle
+            assert session.route(3, 70).ok
+
+    def test_kleinberg_session_retains_no_more_than_its_provider(self):
+        import gc
+        import tracemalloc
+
+        # Pay the one-time costs (lazy imports, numpy caches) outside the count.
+        with open_session("torus2d", 64, seed=_SEED, scheme="kleinberg") as warmup:
+            warmup.route(0, 40)
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            session = open_session(
+                "torus2d", 1024, seed=_SEED, scheme="kleinberg", oracle_max_bytes=64 * 1024
+            )
+            n = session.graph.num_nodes
+            pairs = np.random.default_rng(0).integers(0, n, size=(8, 2))
+            session.route_queries([(int(s), int(t), session.query_seed(s, t)) for s, t in pairs])
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        resident = session.oracle.resident_bytes()
+        session.close()
+        assert retained <= resident + 256 * 1024, (retained, resident)
+
+
 class TestClose:
     def test_close_is_idempotent_and_blocks_reuse(self):
         session = open_session(_FAMILY, _N, seed=_SEED)

@@ -48,6 +48,28 @@ class TestCommands:
         assert "uniform" in out and "ball" in out
         assert "greedy diameter" in out
 
+    def test_route_hands_its_provider_to_the_distance_schemes(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        seen = []
+        estimate = cli.estimate_greedy_diameter
+
+        def spy(graph, scheme, **kwargs):
+            seen.append((scheme, kwargs["oracle"]))
+            return estimate(graph, scheme, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_greedy_diameter", spy)
+        code = main(
+            ["route", "ring", "--size", "64", "--pairs", "2", "--trials", "2",
+             "--schemes", "ball", "kleinberg", "--oracle-max-bytes", "64K"]
+        )
+        assert code == 0
+        assert [scheme.scheme_name for scheme, _ in seen] == ["ball", "distance_power"]
+        (provider,) = {id(oracle): oracle for _, oracle in seen}.values()
+        assert provider.max_bytes == 64 * 1024
+        for scheme, _ in seen:
+            assert scheme.oracle is provider
+
     def test_experiment_command_single(self, capsys):
         code = main(["experiment", "--only", "EXP-1", "--quick", "--markdown"])
         assert code == 0
