@@ -45,11 +45,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.base import NO_CONTACT, AugmentationScheme
-from repro.graphs.balls import shell_members, shell_sizes
+from repro.graphs.balls import rows_by_node, shell_members, shell_sizes
 from repro.graphs.distances import UNREACHABLE
 from repro.graphs.graph import Graph
-from repro.graphs.oracle import DistanceOracle
-from repro.graphs.provider import DistanceProvider
+from repro.graphs.provider import DistanceProvider, provider_for
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_node_index
 
@@ -112,10 +111,8 @@ class BallScheme(AugmentationScheme):
             if np.any(probs < 0) or not np.isclose(probs.sum(), 1.0):
                 raise ValueError("radius_distribution must be a probability vector")
             self._level_probs = probs
-        self._level_cdf = np.cumsum(self._level_probs)
-        if oracle is not None and oracle.graph is not graph and not oracle.graph.same_structure(graph):
-            raise ValueError("oracle was built for a different graph")
-        self._oracle = oracle if oracle is not None else DistanceOracle(graph)
+        self._level_cumulative = np.cumsum(self._level_probs)
+        self._oracle = provider_for(graph, oracle)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -166,13 +163,9 @@ class BallScheme(AugmentationScheme):
         nodes = self._coerce_batch(nodes)
         uniforms = self._coerce_uniforms(nodes, uniforms)
         out = np.full(nodes.shape, NO_CONTACT, dtype=np.int64)
-        levels = np.searchsorted(self._level_cdf, uniforms[0], side="right") + 1
+        levels = np.searchsorted(self._level_cumulative, uniforms[0], side="right") + 1
         radii = _level_radii(levels)
-        uniq, inverse, counts = np.unique(nodes, return_inverse=True, return_counts=True)
-        self._oracle.prefetch_query(uniq.tolist())
-        groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
-        for node, lanes in zip(uniq.tolist(), groups):
-            row = self._oracle.query_distances_from(node)
+        for _, row, lanes in rows_by_node(self._oracle, nodes):
             sizes = shell_sizes(row)
             if sizes.size == 0:
                 continue  # nothing reachable (a sketch row with no pivot)

@@ -13,7 +13,9 @@ contact of ``u`` is a distance shell ``d ≥ 1`` drawn with probability
 ``∝ |S_d| · d^{-r}``, then a uniform member of it, which is exactly
 ``φ_u(v) ∝ dist(u, v)^{-r}`` for ``v ≠ u``.  Like the Theorem-4 ball scheme
 it reads the distance row from ``u`` on a provider's query tier and keeps
-no per-node state.
+no per-node state.  On a landmark provider that row is the sketch's
+estimate, so ``dist`` above is the estimate, and ``u`` is still never its
+own contact.
 """
 
 from __future__ import annotations
@@ -23,15 +25,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.base import NO_CONTACT, AugmentationScheme
-from repro.graphs.balls import shell_members, shell_sizes
+from repro.graphs.balls import rows_by_node, shell_members, shell_sizes
 from repro.graphs.distances import UNREACHABLE
 
 # Not called here: perfbench/tracer.py wraps this module's ``bfs_distances``
 # as its ``frontier.bfs_distances`` span, which should count zero calls.
 from repro.graphs.distances import bfs_distances  # noqa: F401
 from repro.graphs.graph import Graph
-from repro.graphs.oracle import DistanceOracle
-from repro.graphs.provider import DistanceProvider
+from repro.graphs.provider import DistanceProvider, provider_for
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_node_index
 
@@ -64,9 +65,7 @@ class DistancePowerScheme(AugmentationScheme):
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
         self._exponent = float(exponent)
-        if oracle is not None and oracle.graph is not graph and not oracle.graph.same_structure(graph):
-            raise ValueError("oracle was built for a different graph")
-        self._oracle = oracle if oracle is not None else DistanceOracle(graph)
+        self._oracle = provider_for(graph, oracle)
 
     @property
     def exponent(self) -> float:
@@ -81,12 +80,20 @@ class DistancePowerScheme(AugmentationScheme):
     def describe(self) -> str:
         return f"distance_power(r={self._exponent:g}) on {self.graph.name}"
 
-    def _shell_weights(self, row: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(|S_d|, d^{-r})`` per shell ``d = 0 … ecc``; the source's shell 0 weighs 0."""
+    def _shells(self, node: int, row: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row, |S_d|, d^{-r})`` for draws from *node*, shells ``d = 0 … ecc``.
+
+        Shell 0 weighs 0, and *node* itself is never drawn: a sketch row puts
+        it at ``est(u, u) = 2·min_p d(p, u) > 0`` instead of in shell 0, so
+        the returned row (a copy then) marks it unreachable.
+        """
+        if row[node] != 0:
+            row = row.copy()
+            row[node] = UNREACHABLE
         sizes = shell_sizes(row)
         per_node = np.zeros(sizes.size)
         per_node[1:] = np.arange(1, sizes.size, dtype=np.float64) ** -self._exponent
-        return sizes, per_node
+        return row, sizes, per_node
 
     # Bound in this class's own __dict__, not only inherited: the layer
     # tracer (perfbench/tracer.py) wraps ``Class.__dict__["sample_contacts"]``.
@@ -106,12 +113,8 @@ class DistancePowerScheme(AugmentationScheme):
         nodes = self._coerce_batch(nodes)
         uniforms = self._coerce_uniforms(nodes, uniforms)
         out = np.full(nodes.shape, NO_CONTACT, dtype=np.int64)
-        uniq, inverse, counts = np.unique(nodes, return_inverse=True, return_counts=True)
-        self._oracle.prefetch_query(uniq.tolist())
-        groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
-        for node, lanes in zip(uniq.tolist(), groups):
-            row = self._oracle.query_distances_from(node)
-            sizes, per_node = self._shell_weights(row)
+        for node, row, lanes in rows_by_node(self._oracle, nodes):
+            row, sizes, per_node = self._shells(node, row)
             cumulative = (sizes * per_node).cumsum()
             if cumulative.size == 0 or cumulative[-1] <= 0.0:
                 continue
@@ -124,8 +127,7 @@ class DistancePowerScheme(AugmentationScheme):
 
     def contact_distribution(self, node: int) -> np.ndarray:
         node = check_node_index(node, self._graph.num_nodes)
-        row = self._oracle.query_distances_from(node)
-        sizes, per_node = self._shell_weights(row)
+        row, sizes, per_node = self._shells(node, self._oracle.query_distances_from(node))
         probs = np.zeros(self._graph.num_nodes)
         total = float(sizes @ per_node)
         if total > 0.0:

@@ -44,6 +44,7 @@ __all__ = [
     "DISTANCE_MODES",
     "DistanceProvider",
     "make_distance_provider",
+    "provider_for",
 ]
 
 #: Recognised ``distance_mode`` names, in CLI/choices order.  ``"exact"`` is
@@ -170,3 +171,12 @@ def make_distance_provider(
     raise ValueError(
         f"unknown distance_mode {mode!r}; available: {', '.join(DISTANCE_MODES)}"
     )
+
+
+def provider_for(graph: Graph, oracle: Optional[DistanceProvider] = None) -> DistanceProvider:
+    """*oracle*, checked to serve *graph*; ``None`` gets a private unbounded exact oracle."""
+    if oracle is None:
+        return DistanceOracle(graph)
+    if oracle.graph is not graph and not oracle.graph.same_structure(graph):
+        raise ValueError("oracle was built for a different graph")
+    return oracle

@@ -57,8 +57,8 @@ import numpy as np
 
 from repro.core.base import NO_CONTACT, AugmentationScheme
 from repro.graphs.graph import Graph
-from repro.graphs.oracle import FAR_DISTANCE, DistanceOracle
-from repro.graphs.provider import DistanceProvider
+from repro.graphs.oracle import FAR_DISTANCE
+from repro.graphs.provider import DistanceProvider, provider_for
 from repro.utils.counterrng import lane_step_uniforms
 from repro.utils.validation import check_positive_int
 
@@ -159,10 +159,7 @@ def route_lanes(
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one (source, target) pair")
-    if oracle is None:
-        oracle = DistanceOracle(graph)
-    elif oracle.graph is not graph and not oracle.graph.same_structure(graph):
-        raise ValueError("oracle was built for a different graph")
+    oracle = provider_for(graph, oracle)
     n = graph.num_nodes
     num_pairs = len(pairs)
     num_lanes = num_pairs * trials

@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.base import AugmentationScheme
 from repro.graphs.graph import Graph
 from repro.graphs.oracle import FAR_DISTANCE, DistanceOracle
-from repro.graphs.provider import DistanceProvider
+from repro.graphs.provider import DistanceProvider, provider_for
 from repro.routing.engine import route_lanes
 from repro.routing.sampling import extremal_pairs, uniform_pairs
 from repro.routing.statistics import SummaryStats, summarize
@@ -288,10 +288,7 @@ def estimate_expected_steps(
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one (source, target) pair")
-    if oracle is None:
-        oracle = DistanceOracle(graph)
-    elif oracle.graph is not graph and not oracle.graph.same_structure(graph):
-        raise ValueError("oracle was built for a different graph")
+    oracle = provider_for(graph, oracle)
     if not isinstance(seed, (int, np.integer)):
         seed = int(ensure_rng(seed).integers(0, 2**63))
     batch = route_lanes(

@@ -8,6 +8,7 @@ from repro.core.kleinberg import DistancePowerScheme
 from repro.graphs import generators
 from repro.graphs.distances import bfs_distances
 from repro.graphs.graph import Graph
+from repro.graphs.landmark import LandmarkOracle
 from repro.graphs.oracle import DistanceOracle
 
 
@@ -104,3 +105,23 @@ class TestShellSampling:
     def test_rejects_foreign_oracle(self, cycle12, path8):
         with pytest.raises(ValueError):
             DistancePowerScheme(cycle12, 2.0, oracle=DistanceOracle(path8))
+
+    @pytest.mark.parametrize("exponent", [0.0, 2.0])
+    def test_sketch_rows_never_draw_the_source(self, exponent):
+        """A non-pivot's sketch row puts it at est(u, u) > 0, yet u is never drawn."""
+        graph = generators.cycle_graph(24)
+        oracle = LandmarkOracle(graph, num_landmarks=2, seed=5)
+        scheme = DistancePowerScheme(graph, exponent, oracle=oracle)
+        node = next(u for u in range(24) if u not in set(oracle.landmarks.tolist()))
+        row = oracle.query_distances_from(node)
+        assert row[node] > 0
+        exact = scheme.contact_distribution(node)
+        assert exact[node] == 0.0
+        assert exact.sum() == pytest.approx(1.0)
+        draws = 4000
+        samples = scheme.sample_contacts(np.full(draws, node), np.random.default_rng(11))
+        assert not np.any(samples == node)
+        counts = np.bincount(samples, minlength=graph.num_nodes)
+        np.testing.assert_allclose(counts / draws, exact, atol=0.035)
+        # The provider's cached row is read, never edited.
+        assert oracle.query_distances_from(node)[node] == row[node]
