@@ -37,8 +37,6 @@ what ``repro serve`` runs behind its TCP daemon:
 True
 """
 
-import warnings as _warnings
-
 from repro.graphs import generators
 from repro.graphs.graph import Graph
 from repro.graphs.builders import GraphBuilder
@@ -78,7 +76,6 @@ __all__ = [
     "make_scheme",
     "available_schemes",
     "greedy_route",
-    "estimate_expected_steps",
     "estimate_greedy_diameter",
     "estimate_pathshape",
     "RoutingSession",
@@ -87,24 +84,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def estimate_expected_steps(*args, **kwargs):
-    """Deprecated top-level alias for batched Monte-Carlo step estimation.
-
-    .. deprecated:: 1.1
-        ``repro.estimate_expected_steps`` remains for backward compatibility
-        but now emits a :class:`DeprecationWarning`.  Prefer
-        :meth:`RoutingSession.route_many` (which reuses the session's warmed
-        oracle), or import the function directly from
-        :mod:`repro.routing.simulator` for one-off estimates.
-    """
-    _warnings.warn(
-        "repro.estimate_expected_steps is deprecated; use "
-        "repro.open_session(...).route_many(...) or import "
-        "estimate_expected_steps from repro.routing.simulator",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.routing.simulator import estimate_expected_steps as _impl
-
-    return _impl(*args, **kwargs)

@@ -147,10 +147,11 @@ class AugmentationScheme(abc.ABC):
         """Validate a batch of node indices for the vectorized samplers.
 
         Returns the batch as a contiguous ``int64`` array of the original
-        shape; raises ``IndexError`` on out-of-range entries.
+        shape; raises ``IndexError`` on out-of-range entries.  One reduction
+        checks both ends: a negative id wraps to a huge unsigned value.
         """
         nodes = np.ascontiguousarray(nodes, dtype=np.int64)
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= self._graph.num_nodes):
+        if nodes.size and nodes.view(np.uint64).max() >= self._graph.num_nodes:
             raise IndexError("node index out of range")
         return nodes
 

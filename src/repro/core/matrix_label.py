@@ -170,9 +170,6 @@ class Theorem2Scheme(AugmentationScheme):
             f"(n={self.graph.num_nodes}, bags={self._decomposition.num_bags})"
         )
 
-    def reset_cache(self) -> None:
-        self._ancestor_cache.clear()
-
     # ------------------------------------------------------------------ #
     # Sampling
     # ------------------------------------------------------------------ #

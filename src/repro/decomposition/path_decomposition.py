@@ -184,10 +184,5 @@ class PathDecomposition:
             raise ValueError("cannot decompose the empty graph")
         return cls([set(range(graph.num_nodes))])
 
-    @classmethod
-    def from_bag_sequence(cls, bags: Sequence[Iterable[int]]) -> "PathDecomposition":
-        """Alias constructor mirroring :class:`TreeDecomposition`'s interface."""
-        return cls(bags)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PathDecomposition(bags={self.num_bags}, width={self.width()})"

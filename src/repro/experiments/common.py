@@ -39,7 +39,6 @@ from repro.core.base import AugmentationScheme
 from repro.experiments.config import ExperimentConfig
 from repro.graphs import generators
 from repro.graphs.graph import Graph
-from repro.graphs.oracle import DistanceOracle
 from repro.graphs.provider import DistanceProvider
 from repro.graphs.store import GraphStore, StoreEntry
 from repro.routing.simulator import (
@@ -54,17 +53,14 @@ __all__ = [
     "OracleFactory",
     "CellPayload",
     "GraphInstance",
-    "SweepCache",
     "derive_cell_seed",
     "derive_instance_seed",
     "ensure_store",
     "cell_payload",
-    "make_oracle",
     "route_point",
     "scaling_cell",
     "collect_series",
     "run_experiment",
-    "measure_scaling",
     "standard_graph_families",
 ]
 
@@ -109,12 +105,6 @@ def derive_instance_seed(master_seed: int, family: str, n: int) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:4], "big") & 0x7FFFFFFF
 
 
-def make_oracle(oracle_factory: Optional[OracleFactory], graph: Graph) -> DistanceProvider:
-    """Instantiate the cell provider (default exact :class:`DistanceOracle`)."""
-    factory = oracle_factory if oracle_factory is not None else DistanceOracle
-    return factory(graph)
-
-
 def ensure_store(
     store: Optional[GraphStore], oracle_factory: Optional[OracleFactory] = None
 ) -> GraphStore:
@@ -133,38 +123,6 @@ def ensure_store(
 #: Kept as the public name of the store's entry type: experiment code reads
 #: ``instance.graph`` / ``instance.oracle`` off it.
 GraphInstance = StoreEntry
-
-
-class SweepCache:
-    """Thin adapter presenting a :class:`GraphStore` under the legacy API.
-
-    Shared between successive :func:`measure_scaling` calls (one per scheme)
-    so every scheme of an experiment sees the *same* graph instance and pools
-    BFS arrays through the same oracle.  New code should use a
-    :class:`~repro.graphs.store.GraphStore` directly; this wrapper remains
-    because ``measure_scaling`` predates the store.
-    """
-
-    def __init__(
-        self,
-        *,
-        oracle_factory: Optional[OracleFactory] = None,
-        store: Optional[GraphStore] = None,
-    ) -> None:
-        self._store = store if store is not None else GraphStore(oracle_factory=oracle_factory)
-
-    @property
-    def store(self) -> GraphStore:
-        return self._store
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def instance(
-        self, family: str, n: int, seed: int, graph_factory: GraphFactory
-    ) -> GraphInstance:
-        """Return the cached instance for ``(family, n, seed)``, generating on miss."""
-        return self._store.instance(family, n, seed, graph_factory)
 
 
 def standard_graph_families() -> Dict[str, GraphFactory]:
@@ -351,57 +309,3 @@ def run_experiment(
         for family, n in module.cell_keys(config)
     }
     return module.assemble(config, cells)
-
-
-def measure_scaling(
-    family_name: str,
-    graph_factory: GraphFactory,
-    scheme_factory: SchemeFactory,
-    config: ExperimentConfig,
-    *,
-    series_name: Optional[str] = None,
-    quantity: str = "diameter",
-    cache: Optional[SweepCache] = None,
-    experiment_id: str = "",
-) -> SeriesResult:
-    """Measure the greedy-diameter scaling of one (family, scheme) combination.
-
-    Parameters
-    ----------
-    family_name:
-        Name used for caching, seeding and for the default series name.
-    graph_factory, scheme_factory:
-        Build the graph for a size and the scheme for a
-        ``(graph, seed, oracle)`` triple.
-    config:
-        Sweep parameters.
-    quantity:
-        ``"diameter"`` (max per-pair mean — the greedy diameter) or
-        ``"mean"`` (average over pairs).
-    cache:
-        Optional :class:`SweepCache` shared between schemes so each graph
-        instance is generated once — and, crucially, so every scheme measured
-        on it shares one :class:`DistanceOracle` and reuses its BFS arrays.
-    experiment_id:
-        Folded into the per-size seeds so different experiments decorrelate.
-    """
-    if quantity not in ("diameter", "mean"):
-        raise ValueError(f"unknown quantity {quantity!r}; use 'diameter' or 'mean'")
-    cache = cache if cache is not None else SweepCache()
-    series = SeriesResult(name=series_name or family_name)
-    for n in config.effective_sizes():
-        cell_seed = derive_cell_seed(config.seed, experiment_id, family_name, n)
-        instance_seed = derive_instance_seed(config.seed, family_name, n)
-        inst = cache.instance(family_name, n, instance_seed, graph_factory)
-        scheme = scheme_factory(inst.graph, cell_seed, inst.oracle)
-        point = route_point(
-            inst.graph,
-            scheme,
-            config,
-            seed=cell_seed,
-            oracle=inst.oracle,
-            pair_seed=instance_seed,
-        )
-        series.add(point["n"], point["value"] if quantity == "diameter" else point["mean"])
-        series.metadata[f"long_link_fraction_n{point['n']}"] = point["long_link_fraction"]
-    return series

@@ -391,8 +391,8 @@ class SweepExecutor:
 
         Each pass over the remaining cells either loads a finished artifact
         (another shard — or a prior run — computed it), claims the cell's
-        lease and computes it, or defers it because some live shard holds the
-        lease.  A pass with no progress means everything left is being
+        lease and computes it (unless the artifact landed just before the
+        claim), or defers it because some live shard holds the lease.  A pass with no progress means everything left is being
         computed elsewhere, so the shard sleeps briefly before re-polling.
         The loop terminates because every deferred cell's lease either turns
         into an artifact, is released (picked up here next pass), or goes
@@ -406,31 +406,34 @@ class SweepExecutor:
             deferred: List[SweepCell] = []
             for cell in remaining:
                 payload = self._load_resumable(cell)
+                if payload is None:
+                    apath = artifact_path(
+                        self._artifacts_dir, cell.experiment_id, cell.family, cell.n
+                    )
+                    if not lease_module.try_acquire(apath, ttl=self._lease_ttl):
+                        deferred.append(cell)
+                        continue
+                    try:
+                        # Another shard may have persisted the cell and
+                        # released its lease between the load and the acquire.
+                        payload = self._load_resumable(cell)
+                        if payload is None:
+                            module = _module_by_id(cell.experiment_id)
+                            kernels.warmup_active()
+                            computed = module.run_cell(
+                                self._config,
+                                cell.family,
+                                cell.n,
+                                oracle_factory=self._oracle_factory,
+                                store=self.store,
+                            )
+                            self.store.spill()
+                            self._finish(payloads, cell, computed, kernels.backend_stats())
+                    finally:
+                        lease_module.release(apath)
                 if payload is not None:
                     payloads[cell.experiment_id][(cell.family, cell.n)] = payload
                     self.skipped.append(cell)
-                    progressed = True
-                    continue
-                apath = artifact_path(
-                    self._artifacts_dir, cell.experiment_id, cell.family, cell.n
-                )
-                if not lease_module.try_acquire(apath, ttl=self._lease_ttl):
-                    deferred.append(cell)
-                    continue
-                try:
-                    module = _module_by_id(cell.experiment_id)
-                    kernels.warmup_active()
-                    payload = module.run_cell(
-                        self._config,
-                        cell.family,
-                        cell.n,
-                        oracle_factory=self._oracle_factory,
-                        store=self.store,
-                    )
-                    self.store.spill()
-                    self._finish(payloads, cell, payload, kernels.backend_stats())
-                finally:
-                    lease_module.release(apath)
                 progressed = True
             remaining = deferred
             if remaining and not progressed:

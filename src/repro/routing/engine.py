@@ -46,6 +46,12 @@ function of ``(graph, scheme, lane seed)`` alone — independent of batch
 composition and of lane order.  ``greedy_route`` replaying the same uniforms
 through a contact provider walks the identical route; the tests assert this
 lane by lane for every scheme.
+
+Lanes start together and advance in lock step, so one step counter serves
+them all, and the engine hashes a block of up to ``_BLOCK_STEPS`` steps of
+every active lane in one call (a ``(rows, steps, lanes)`` block, bitwise
+equal to the per-step calls).  Lanes that retire mid-block keep their
+column; the survivors read theirs through ``col``.
 """
 
 from __future__ import annotations
@@ -67,6 +73,11 @@ __all__ = ["LaneBatchResult", "route_lanes"]
 #: The oracle's unreachable sentinel (larger than any real distance); the
 #: routing blocks arrive already masked with it.
 _FAR: int = FAR_DISTANCE
+
+#: Uniform blocks hash at most this many steps per call, and at most this
+#: many elements (rows x steps x lanes); wide batches fall back to one step.
+_BLOCK_STEPS: int = 16
+_BLOCK_ELEMENTS: int = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -197,15 +208,17 @@ def route_lanes(
     flat_dist = np.ascontiguousarray(dist_block).reshape(-1)
     flat_local = np.ascontiguousarray(next_local_block).reshape(-1)
     unreachable = dist_block[pair_rows, sources] == _FAR
-    if np.any(unreachable):
+    if np.count_nonzero(unreachable):
         bad = int(np.nonzero(unreachable)[0][0])
         raise ValueError(
             f"target is not reachable from source for pair {tuple(pairs[bad])}"
         )
 
     # Flat lane state.  Lane l = trial l % trials of pair l // trials.  The
-    # loop keeps only *active* lanes (ids/base/cur/spent compacted in lock
-    # step) and scatters results into the full-size arrays as lanes retire.
+    # loop keeps only *active* lanes (ids/base/cur/tgt/used/col compacted in
+    # lock step) and scatters results into the full-size arrays as lanes
+    # retire.  Lanes start together and each iteration advances every active
+    # lane by one step, so the one counter ``step`` is what each has spent.
     steps = np.zeros(num_lanes, dtype=np.int64)
     long_links = np.zeros(num_lanes, dtype=np.int64)
     success = np.zeros(num_lanes, dtype=bool)
@@ -213,75 +226,78 @@ def route_lanes(
     base = np.repeat(np.asarray(pair_rows, dtype=np.int64) * n, trials)
     cur = np.repeat(sources, trials)
     tgt = np.repeat(targets, trials)
-    spent = np.zeros(num_lanes, dtype=np.int64)
     used = np.zeros(num_lanes, dtype=np.int64)
+    col = ids  # each active lane's column in the current uniform block
     arrived = cur == tgt  # degenerate (s == t) lanes arrive in 0 steps
-    if np.any(arrived):
+    if np.count_nonzero(arrived):
         success[ids[arrived]] = True
         keep = ~arrived
-        ids, base, cur, tgt, spent, used, seeds = (
-            a[keep] for a in (ids, base, cur, tgt, spent, used, seeds)
+        ids, base, cur, tgt, used, col = (
+            a[keep] for a in (ids, base, cur, tgt, used, col)
         )
     budget = n if max_steps is None else int(max_steps)
+    step = block_start = block_end = 0
 
     while ids.size:
-        # Budget check first, as in greedy_route: a lane that has spent its
-        # whole budget without arriving fails *before* taking another step.
-        over = spent >= budget
-        if np.any(over):
-            failed = over  # success stays False; steps/long were scattered
-            steps[ids[failed]] = spent[failed]
-            long_links[ids[failed]] = used[failed]
-            keep = ~failed
-            ids, base, cur, tgt, spent, used, seeds = (
-                a[keep] for a in (ids, base, cur, tgt, spent, used, seeds)
+        # Budget check first, as in greedy_route: lanes that have spent the
+        # whole budget without arriving fail *before* taking another step.
+        if step >= budget:
+            steps[ids] = step  # success stays False
+            long_links[ids] = used
+            break
+        if step == block_end:
+            # One hash call for the next block of steps of every active lane:
+            # a (rows, length, lanes) block, bitwise equal to per-step calls.
+            seeds = seeds[col]
+            col = np.arange(seeds.size)
+            length = max(1, min(_BLOCK_STEPS, _BLOCK_ELEMENTS // (uniform_rows * seeds.size)))
+            block = lane_step_uniforms(
+                seeds, np.arange(step, step + length)[:, None], uniform_rows
             )
-            if not ids.size:
-                break
+            block_start, block_end = step, step + length
+        uniforms = block[:, step - block_start]
+        if col.size != seeds.size:  # lanes retired since the block was hashed
+            uniforms = uniforms.take(col, axis=1)
         keys = base + cur
         dist_cur = flat_dist.take(keys)
         local_hop = flat_local.take(keys)
-        uniforms = lane_step_uniforms(seeds, spent, uniform_rows)
         contacts = scheme.sample_contacts_from_uniforms(cur, uniforms)
-        valid = (contacts != NO_CONTACT) & (contacts != cur)
-        has_local = local_hop >= 0
-        dist_local = np.where(
-            has_local, flat_dist.take(base + np.where(has_local, local_hop, 0)), _FAR
-        )
-        dist_contact = np.where(
-            valid, flat_dist.take(base + np.where(valid, contacts, 0)), _FAR
-        )
+        # A missing local hop (-1) or NO_CONTACT still lands on a valid flat
+        # index (base - 1 wraps at most to the last entry); mask it after.
+        dist_local = flat_dist.take(base + local_hop)
+        np.putmask(dist_local, local_hop < 0, _FAR)
+        dist_contact = flat_dist.take(base + contacts)
+        np.putmask(dist_contact, contacts == NO_CONTACT, _FAR)
         # greedy_route's rule: the long link must strictly improve on the
-        # current node and is preferred on ties with the best local hop.
-        use_long = valid & (dist_contact < dist_cur) & (
-            dist_contact <= np.minimum(dist_local, dist_cur)
-        )
+        # current node (which also rules out contact == cur) and is preferred
+        # on ties with the best local hop.
+        use_long = (dist_contact < dist_cur) & (dist_contact <= dist_local)
         hop = np.where(use_long, contacts, local_hop)
         moved = hop >= 0
-        if not np.all(moved):
+        if np.count_nonzero(moved) != moved.size:
             # No improving hop can only mean inconsistent inputs; terminate
             # unsuccessfully exactly like greedy_route's best_node < 0.
             stuck = ~moved
-            steps[ids[stuck]] = spent[stuck]
+            steps[ids[stuck]] = step
             long_links[ids[stuck]] = used[stuck]
-            ids, base, cur, tgt, spent, used, seeds, hop, use_long = (
-                a[moved] for a in (ids, base, cur, tgt, spent, used, seeds, hop, use_long)
+            ids, base, cur, tgt, used, col, hop, use_long = (
+                a[moved] for a in (ids, base, cur, tgt, used, col, hop, use_long)
             )
         cur = hop
-        spent = spent + 1
         used = used + use_long
+        step += 1
         at_target = cur == tgt
-        if np.any(at_target):
+        if np.count_nonzero(at_target):
             done = ids[at_target]
             success[done] = True
-            steps[done] = spent[at_target]
+            steps[done] = step
             long_links[done] = used[at_target]
             keep = ~at_target
-            ids, base, cur, tgt, spent, used, seeds = (
-                a[keep] for a in (ids, base, cur, tgt, spent, used, seeds)
+            ids, base, cur, tgt, used, col = (
+                a[keep] for a in (ids, base, cur, tgt, used, col)
             )
 
-    if max_steps is None and not np.all(success):
+    if max_steps is None and np.count_nonzero(success) != num_lanes:
         bad_lane = int(np.nonzero(~success)[0][0])
         s, t = pairs[bad_lane // trials]
         raise RuntimeError(

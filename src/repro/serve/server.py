@@ -3,13 +3,18 @@
 Each connection is read line by line; every request becomes its own task so a
 single connection can pipeline hundreds of queries.  ``route`` requests are
 stamped with the session's seed policy and awaited through the
-:class:`~repro.serve.batcher.MicroBatcher`; responses are written under a
-per-connection lock (tasks complete out of order — the protocol's ``id``
-field is what keeps clients sane).
+:class:`~repro.serve.batcher.MicroBatcher`.  A batch resolves all its
+queries in one event-loop pass, so each connection queues its encoded
+response lines and sends them with one ``write`` per loop pass, not one
+per answer (tasks complete out of order — the protocol's ``id`` field is
+what keeps clients sane).  The reader awaits ``drain()`` only while the
+transport's buffer is over its high-water mark, so a client that stops
+reading stops being read.
 
 Shutdown is graceful: :meth:`RouteServer.stop` stops accepting connections,
 waits for request tasks already accepted, drains the batcher (every accepted
-query gets its response) and only then closes the connections.
+query gets its response), flushes the queued lines and only then closes the
+connections.
 
 The server is distance-provider agnostic: it talks to the session, and the
 session talks to whatever :class:`~repro.graphs.provider.DistanceProvider`
@@ -25,13 +30,50 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Optional
+from typing import List, Optional
 
 from repro.serve import protocol
 from repro.serve.batcher import MicroBatcher
 from repro.session import RoutingSession
 
 __all__ = ["RouteServer"]
+
+
+class _Outbox:
+    """One connection's encoded response lines, sent with one write per loop pass.
+
+    The first line queued in a pass schedules :meth:`flush` for the next
+    pass, by which time every request the same batch answered has queued
+    its line too.
+    """
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self._writer = writer
+        self._lines: List[bytes] = []
+
+    def send(self, message: dict) -> None:
+        if not self._lines:
+            asyncio.get_running_loop().call_soon(self.flush)
+        self._lines.append(protocol.encode(message))
+
+    def flush(self) -> None:
+        """Write every queued line in one call (nothing when none is queued)."""
+        if not self._lines:
+            return
+        data = b"".join(self._lines)
+        self._lines.clear()
+        try:
+            self._writer.write(data)
+        except (ConnectionError, RuntimeError):
+            pass  # client went away; its in-flight results are simply dropped
+
+    def close(self) -> None:
+        """Flush the queued lines, then close the connection."""
+        self.flush()
+        try:
+            self._writer.close()
+        except RuntimeError:  # event loop already closed
+            pass
 
 
 class RouteServer:
@@ -64,7 +106,7 @@ class RouteServer:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._request_tasks: set = set()
-        self._writers: set = set()
+        self._outboxes: set = set()
         self._stopping = False
 
     def _route_batch(self, items):
@@ -125,9 +167,9 @@ class RouteServer:
             await asyncio.gather(*list(self._request_tasks), return_exceptions=True)
         # ... which requires the batcher to flush what they submitted.
         await self._batcher.close()
-        for writer in list(self._writers):
-            writer.close()
-        self._writers.clear()
+        for outbox in list(self._outboxes):
+            outbox.close()
+        self._outboxes.clear()
 
     # ------------------------------------------------------------------ #
     # Connection handling
@@ -136,38 +178,32 @@ class RouteServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
+        outbox = _Outbox(writer)
+        self._outboxes.add(outbox)
+        transport = writer.transport
         try:
             while not self._stopping:
+                if transport.get_write_buffer_size() > transport.get_write_buffer_limits()[1]:
+                    await writer.drain()  # the client is not reading: stop reading it
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(
-                        writer, write_lock, protocol.error_response(None, "request line too long")
-                    )
+                    outbox.send(protocol.error_response(None, "request line too long"))
                     break
                 if not line:
                     break
                 if not line.strip():
                     continue
-                task = asyncio.ensure_future(
-                    self._handle_request(line, writer, write_lock)
-                )
+                task = asyncio.ensure_future(self._handle_request(line, outbox))
                 self._request_tasks.add(task)
                 task.add_done_callback(self._request_tasks.discard)
         except (ConnectionError, asyncio.CancelledError):
             pass  # client vanished, or the loop is tearing the handler down
         finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-            except RuntimeError:  # event loop already closed
-                pass
+            self._outboxes.discard(outbox)
+            outbox.close()
 
-    async def _handle_request(
-        self, line: bytes, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
-    ) -> None:
+    async def _handle_request(self, line: bytes, outbox: _Outbox) -> None:
         request_id = None
         try:
             message = protocol.decode_request(line)
@@ -194,15 +230,4 @@ class RouteServer:
             response = protocol.error_response(request_id, str(exc))
         except Exception as exc:  # noqa: BLE001 - per-request failure, keep serving
             response = protocol.error_response(request_id, f"internal error: {exc}")
-        await self._write(writer, write_lock, response)
-
-    @staticmethod
-    async def _write(
-        writer: asyncio.StreamWriter, write_lock: asyncio.Lock, message: dict
-    ) -> None:
-        try:
-            async with write_lock:
-                writer.write(protocol.encode(message))
-                await writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass  # client went away; its in-flight results are simply dropped
+        outbox.send(response)

@@ -66,17 +66,22 @@ def lane_seeds(seed: int, count: int) -> np.ndarray:
 
 
 def lane_step_uniforms(seeds: np.ndarray, steps: np.ndarray, rows: int) -> np.ndarray:
-    """Uniforms in ``[0, 1)`` for each (lane, step): shape ``(rows, len(seeds))``.
+    """Uniforms in ``[0, 1)`` for each (lane, step): shape ``(rows, *shape)``.
 
-    ``out[j, i]`` is a pure function of ``(seeds[i], steps[i], j)`` — the
-    batch-invariance contract.  *rows* is the scheme's
-    ``uniforms_per_contact`` and must not exceed :data:`MAX_UNIFORM_ROWS`.
+    *steps* broadcasts against *seeds*, and ``shape`` is their broadcast
+    shape.  One step per lane gives ``(rows, len(seeds))``; a ``(B, 1)``
+    column of steps gives ``(rows, B, len(seeds))``, a block of ``B`` steps
+    of every lane in one call.  Each entry is a pure function of its
+    ``(seed, step, row)`` — the batch-invariance contract — so a block's
+    ``[:, b, :]`` equals the per-step call at ``steps[b]`` bitwise.  *rows*
+    is the scheme's ``uniforms_per_contact`` and must not exceed
+    :data:`MAX_UNIFORM_ROWS`.
     """
     if not 1 <= rows <= MAX_UNIFORM_ROWS:
         raise ValueError(f"rows must lie in [1, {MAX_UNIFORM_ROWS}], got {rows}")
     seeds = np.asarray(seeds, dtype=np.uint64)
     counters = np.asarray(steps).astype(np.uint64) * np.uint64(MAX_UNIFORM_ROWS)
-    out = np.empty((rows, seeds.size), dtype=np.float64)
+    out = np.empty((rows,) + np.broadcast_shapes(counters.shape, seeds.shape), dtype=np.float64)
     for j in range(rows):
         # Two finalizer rounds: one keyed by the (step, row) counter, one by
         # the lane seed xor'd with it — the golden-ratio stride keeps nearby

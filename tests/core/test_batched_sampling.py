@@ -85,8 +85,9 @@ class TestBatchedDistribution:
     @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
     def test_out_of_range_nodes_rejected(self, scheme_name, tree20):
         scheme = _scheme_for(scheme_name, tree20)
-        with pytest.raises((IndexError, ValueError)):
-            scheme.sample_contacts(np.array([0, 20]), np.random.default_rng(0))
+        for nodes in ([0, 20], [-1, 0]):
+            with pytest.raises((IndexError, ValueError)):
+                scheme.sample_contacts(np.array(nodes), np.random.default_rng(0))
 
     def test_empty_batch(self, tree20):
         for name in SCHEME_NAMES:

@@ -15,12 +15,9 @@ from repro.core.ball_scheme import BallScheme
 from repro.core.uniform import UniformScheme
 from repro.experiments import exp_ball_scheme, exp_kleinberg, exp_uniform
 from repro.experiments.common import (
-    SweepCache,
     derive_cell_seed,
     derive_instance_seed,
-    measure_scaling,
     route_point,
-    standard_graph_families,
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
@@ -156,33 +153,6 @@ class TestOracleReuse:
         # serve repeat queries from cache.
         assert 0 < len(factory.oracles) < total_cells
         assert factory.total_hits > 0
-
-    def test_measure_scaling_shares_oracle_through_sweep_cache(self):
-        cache = SweepCache()
-        families = standard_graph_families()
-        config = TINY.scaled(sizes=[48])
-        instance_seed = derive_instance_seed(config.seed, "ring", 48)
-        first = measure_scaling(
-            "ring",
-            families["ring"],
-            lambda g, s, o: UniformScheme(g, seed=s),
-            config,
-            cache=cache,
-        )
-        inst = cache.instance("ring", 48, instance_seed, families["ring"])
-        misses_after_first = inst.oracle.misses
-        second = measure_scaling(
-            "ring",
-            families["ring"],
-            lambda g, s, o: UniformScheme(g, seed=s),
-            config,
-            cache=cache,
-        )
-        assert len(cache) == 1
-        # The second scheme re-routes the same pairs: all lookups are hits.
-        assert inst.oracle.misses == misses_after_first
-        assert inst.oracle.hits > 0
-        assert first.sizes == second.sizes
 
 
 class TestArtifacts:

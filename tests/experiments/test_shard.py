@@ -10,6 +10,7 @@ run.
 import json
 import multiprocessing
 import os
+import shutil
 import threading
 import time
 
@@ -133,6 +134,30 @@ class TestShardedDrain:
         run_all(TINY, only=["EXP-1"], artifacts_dir=artifacts, shard=True, stats=stats)
         assert stats["executed"] == []
         assert len(stats["skipped"]) > 0
+
+    def test_artifact_landing_before_the_lease_is_loaded(self, tmp_path, monkeypatch):
+        finished = tmp_path / "finished"
+        serial = run_all(
+            TINY, only=["EXP-1"], artifacts_dir=finished, stats=(serial_stats := {})
+        )
+        real_acquire = lease.try_acquire
+
+        def acquire_after_another_shard_finished(artifact, **kwargs):
+            # Another shard persists the cell and releases its lease between
+            # this shard's artifact check and its acquire.
+            shutil.copyfile(finished / artifact.name, artifact)
+            return real_acquire(artifact, **kwargs)
+
+        monkeypatch.setattr(lease, "try_acquire", acquire_after_another_shard_finished)
+        artifacts = tmp_path / "artifacts"
+        stats = {}
+        results = run_all(
+            TINY, only=["EXP-1"], artifacts_dir=artifacts, shard=True, stats=stats
+        )
+        assert stats["executed"] == []
+        assert set(stats["skipped"]) == set(serial_stats["executed"])
+        assert render_markdown(results) == render_markdown(serial)
+        assert list(artifacts.glob("*.lease")) == []
 
     def test_two_processes_race_one_directory(self, tmp_path):
         artifacts = tmp_path / "artifacts"

@@ -6,7 +6,8 @@ that replays each lane's counter uniforms
 (:func:`repro.utils.counterrng.lane_step_uniforms`) through the scheme's
 sampling primitive — asserted here per lane for **every** registered scheme
 on every graph family (grid, ring, tree, disconnected) and under step
-budgets.  Against an independent generator-driven reference loop the
+budgets, including routes and budgets that cross the engine's blocks of
+hashed steps.  Against an independent generator-driven reference loop the
 engine is checked statistically instead.
 """
 
@@ -31,6 +32,8 @@ from repro.utils.counterrng import lane_seeds, lane_step_uniforms
 
 SCHEME_NAMES = ["uniform", "ball", "theorem2", "kleinberg", "matrix"]
 FAMILY_NAMES = ["grid", "ring", "tree", "disconnected"]
+#: Graphs whose routes outlast one 16-step uniform block.
+LONG_FAMILY_NAMES = ["ring300", "path200"]
 
 
 def _graph_for(family: str) -> Graph:
@@ -44,6 +47,10 @@ def _graph_for(family: str) -> Graph:
         edges = [(i, (i + 1) % 14) for i in range(14)]
         edges += [(14 + i, 14 + (i + 1) % 9) for i in range(9)]
         return Graph.from_edges(23, edges, name="two-cycles")
+    if family == "ring300":
+        return generators.cycle_graph(300)
+    if family == "path200":
+        return generators.path_graph(200)
     raise AssertionError(family)
 
 
@@ -52,6 +59,9 @@ def _pairs_for(family: str, graph: Graph):
         # Stay within components: 0..13 is one cycle, 14..22 the other.
         return [(0, 7), (3, 10), (14, 18), (22, 16)]
     n = graph.num_nodes
+    if family in LONG_FAMILY_NAMES:
+        # Lanes that retire at different steps, most after the first block.
+        return [(i * n // 8, (i * n // 8 + n // 2 + 5 * i) % n) for i in range(8)]
     return [(0, n - 1), (1, n // 2), (n - 1, n // 3)]
 
 
@@ -107,16 +117,8 @@ def _reference_steps(graph, scheme, oracle, source, target, trials, rng):
 class TestTrajectoryIdentity:
     """Lane engine == greedy_route replaying the lane's counter uniforms."""
 
-    @pytest.mark.parametrize("max_steps", [None, 0, 1, 3])
-    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
-    @pytest.mark.parametrize("family", FAMILY_NAMES)
-    def test_lane_matches_counter_replay(self, scheme_name, family, max_steps):
-        graph = _graph_for(family)
-        oracle = DistanceOracle(graph)
-        scheme = _scheme_for(scheme_name, graph, oracle)
-        pairs = _pairs_for(family, graph)
-        trials = 5
-        seeds = lane_seeds(99, len(pairs) * trials)
+    @staticmethod
+    def _assert_lanes_replay(graph, scheme, oracle, pairs, trials, seeds, max_steps):
         batch = route_lanes(
             graph, scheme, pairs, trials=trials, lane_seeds=seeds, oracle=oracle,
             max_steps=max_steps,
@@ -134,6 +136,49 @@ class TestTrajectoryIdentity:
             assert bool(batch.success[lane]) == result.success
             assert int(batch.steps[lane]) == result.steps
             assert int(batch.long_links[lane]) == result.long_links_used
+        return batch
+
+    @pytest.mark.parametrize("max_steps", [None, 0, 1, 3])
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_lane_matches_counter_replay(self, scheme_name, family, max_steps):
+        graph = _graph_for(family)
+        oracle = DistanceOracle(graph)
+        scheme = _scheme_for(scheme_name, graph, oracle)
+        pairs = _pairs_for(family, graph)
+        trials = 5
+        seeds = lane_seeds(99, len(pairs) * trials)
+        self._assert_lanes_replay(graph, scheme, oracle, pairs, trials, seeds, max_steps)
+
+    @pytest.mark.parametrize("max_steps", [None, 17, 40])
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+    @pytest.mark.parametrize("family", LONG_FAMILY_NAMES)
+    def test_lanes_crossing_step_blocks(self, scheme_name, family, max_steps):
+        # 64 lanes, so the engine hashes 16 steps per block; the budgets run
+        # out inside the second and third blocks.
+        graph = _graph_for(family)
+        oracle = DistanceOracle(graph)
+        scheme = _scheme_for(scheme_name, graph, oracle)
+        pairs = _pairs_for(family, graph)
+        trials = 8
+        seeds = lane_seeds(99, len(pairs) * trials)
+        batch = self._assert_lanes_replay(
+            graph, scheme, oracle, pairs, trials, seeds, max_steps
+        )
+        assert batch.num_lanes == 64
+        assert int(batch.steps.max()) > 16
+
+    def test_wide_batch_hashes_one_step_per_block(self):
+        # 16,400 one-row lanes exceed the engine's 2^15-uniform block at two
+        # steps, so it hashes one step per call.
+        graph = generators.cycle_graph(300)
+        oracle = DistanceOracle(graph)
+        scheme = UniformScheme(graph, seed=11)
+        pairs = [(u, (u + 2) % 300) for u in range(0, 300, 15)]
+        trials = 820
+        seeds = lane_seeds(7, len(pairs) * trials)
+        batch = self._assert_lanes_replay(graph, scheme, oracle, pairs, trials, seeds, None)
+        assert batch.num_lanes == 16_400
 
 
 class _NoLinksScheme(UniformScheme):

@@ -7,10 +7,12 @@ daemon subprocess, so the suite stays fast enough for tier 1.
 
 import asyncio
 import json
+import socket
 
 import pytest
 
 from repro import open_session
+from repro.serve import protocol
 from repro.serve.client import AsyncRouteClient
 from repro.serve.server import RouteServer
 
@@ -116,6 +118,115 @@ class TestRouteFanOut:
         bad, good = _run_with_server(session, scenario)
         assert bad["ok"] is False and "out of range" in bad["error"]
         assert good["ok"] is True
+
+
+def _on_server_writes(monkeypatch, ports, callback):
+    """Call ``callback(writer, data)`` before every write of a server-side stream."""
+    real_write = asyncio.StreamWriter.write
+
+    def write(writer, data):
+        if writer.get_extra_info("sockname")[1] in ports:
+            callback(writer, data)
+        return real_write(writer, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", write)
+
+
+class TestCoalescedWrites:
+    def test_pipelined_burst_is_answered_in_fewer_writes(self, session, monkeypatch):
+        pairs = [(i % _N, (7 * i + 31) % _N) for i in range(200)]
+        server_ports, lines_per_write = [], []
+        _on_server_writes(
+            monkeypatch, server_ports, lambda _, data: lines_per_write.append(data.count(b"\n"))
+        )
+
+        async def scenario(server):
+            server_ports.append(server.port)
+            client = await AsyncRouteClient().connect(server.host, server.port)
+            try:
+                return await asyncio.gather(*(client.route(s, t) for (s, t) in pairs))
+            finally:
+                await client.close()
+
+        responses = _run_with_server(session, scenario)
+        expected = session.route_queries(
+            [(s, t, session.query_seed(s, t)) for (s, t) in pairs]
+        )
+        assert len(responses) == 200
+        for response, outcome in zip(responses, expected):
+            assert response["ok"] and outcome.ok
+            assert response["seed"] == outcome.seed
+            assert response["steps"] == outcome.steps
+            assert response["long_links"] == outcome.long_links
+        assert sum(lines_per_write) == 200
+        assert len(lines_per_write) < 200
+
+    def test_client_that_pauses_reading_gets_every_answer_once(self, session, monkeypatch):
+        count = 2000
+        server_ports, answers_written, server_drains = [], [], []
+
+        def shrink_buffers(writer, data):
+            # Small kernel and transport buffers: answers the client does
+            # not read back up past the transport's high-water mark.
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            writer.transport.set_write_buffer_limits(high=4096)
+            answers_written.append(data.count(b"\n"))
+
+        _on_server_writes(monkeypatch, server_ports, shrink_buffers)
+        real_drain = asyncio.StreamWriter.drain
+
+        async def counting_drain(writer):
+            if writer.get_extra_info("sockname")[1] in server_ports:
+                server_drains.append(writer.transport.get_write_buffer_size())
+            await real_drain(writer)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "drain", counting_drain)
+
+        async def until(condition):
+            for _ in range(3000):
+                if condition():
+                    return
+                await asyncio.sleep(0.01)
+            raise AssertionError("timed out")
+
+        def send(writer, ids):
+            for i in ids:
+                writer.write(
+                    protocol.encode(
+                        {"op": "route", "id": i, "source": i % _N, "target": (3 * i + 17) % _N}
+                    )
+                )
+
+        async def scenario(server):
+            server_ports.append(server.port)
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect((server.host, server.port))
+            sock.setblocking(False)
+            # A small stream limit pauses the client's transport once a
+            # few unread answers are buffered.
+            reader, writer = await asyncio.open_connection(sock=sock, limit=1024)
+            try:
+                # Without reading: the first half's answers fill the server's
+                # buffer, and the second half arrives while it is over its
+                # limit, so the server stops reading.
+                send(writer, range(count // 2))
+                await until(lambda: sum(answers_written) >= count // 2)
+                send(writer, range(count // 2, count))
+                await until(lambda: server_drains)
+                lines = [  # then read every answer
+                    await asyncio.wait_for(reader.readline(), timeout=30)
+                    for _ in range(count)
+                ]
+                return [json.loads(line) for line in lines]
+            finally:
+                writer.close()
+
+        responses = _run_with_server(session, scenario)
+        assert sorted(r["id"] for r in responses) == list(range(count))
+        assert all(r["ok"] for r in responses)
 
 
 class TestControlOps:

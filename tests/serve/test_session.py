@@ -128,21 +128,6 @@ class TestRouteMany:
 
 
 class TestDeprecationShim:
-    def test_top_level_estimate_expected_steps_warns_and_delegates(self):
-        from repro.graphs import generators
-        from repro.core.uniform import UniformScheme
-        from repro.routing.simulator import estimate_expected_steps as direct
-
-        g = generators.cycle_graph(24)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = repro.estimate_expected_steps(
-                g, UniformScheme(g, seed=1), [(0, 12)], trials=4, seed=2
-            )
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        reference = direct(g, UniformScheme(g, seed=1), [(0, 12)], trials=4, seed=2)
-        assert shimmed.mean == reference.mean
-
     def test_simulator_import_path_stays_warning_free(self):
         from repro.graphs import generators
         from repro.core.uniform import UniformScheme

@@ -60,6 +60,19 @@ class TestLaneStepUniforms:
         assert abs(out.mean() - 0.5) < 0.01
         assert abs(np.percentile(out, 25) - 0.25) < 0.02
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("length", [1, 16])
+    @pytest.mark.parametrize("first", [0, 250, 2**32 - 8])
+    def test_step_block_equals_per_step_calls(self, rows, length, first):
+        """A ``(B, 1)`` step column gives each step's per-lane call bitwise."""
+        seeds = lane_seeds(3, 37)
+        steps = np.arange(first, first + length, dtype=np.int64)
+        block = lane_step_uniforms(seeds, steps[:, None], rows)
+        assert block.shape == (rows, length, seeds.size)
+        for b, step in enumerate(steps):
+            per_step = lane_step_uniforms(seeds, np.full(seeds.size, step), rows)
+            assert np.array_equal(block[:, b].view(np.uint64), per_step.view(np.uint64))
+
     @pytest.mark.parametrize("rows", [0, 5])
     def test_row_bounds_enforced(self, rows):
         with pytest.raises(ValueError, match="rows"):
