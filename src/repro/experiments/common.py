@@ -32,7 +32,7 @@ cross-experiment redundancy the store exists to eliminate.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import SeriesResult
 from repro.core.base import AugmentationScheme
@@ -50,7 +50,6 @@ from repro.routing.simulator import (
 __all__ = [
     "GraphFactory",
     "SchemeFactory",
-    "OracleFactory",
     "CellPayload",
     "GraphInstance",
     "derive_cell_seed",
@@ -69,9 +68,6 @@ GraphFactory = Callable[[int, int], Graph]
 #: that can pool BFS work (e.g. ``BallScheme``) should pass the provider
 #: through; the others simply ignore it.
 SchemeFactory = Callable[[Graph, int, DistanceProvider], AugmentationScheme]
-#: Builds the per-cell distance provider; tests inject counting/recording
-#: factories here (and the store builds mode-selected providers by default).
-OracleFactory = Callable[[Graph], DistanceProvider]
 #: JSON-safe payload of one computed cell (see :func:`scaling_cell`).
 CellPayload = Dict[str, object]
 
@@ -105,19 +101,18 @@ def derive_instance_seed(master_seed: int, family: str, n: int) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:4], "big") & 0x7FFFFFFF
 
 
-def ensure_store(
-    store: Optional[GraphStore], oracle_factory: Optional[OracleFactory] = None
-) -> GraphStore:
+def ensure_store(store: Optional[GraphStore]) -> GraphStore:
     """Return *store*, or a private single-cell :class:`GraphStore`.
 
     Experiment ``run_cell`` functions accept an optional shared store (the
     sweep executor threads one through the whole run); standalone calls fall
     back to a fresh private store, which reproduces the historical
-    one-graph-one-oracle-per-cell behaviour exactly.
+    one-graph-one-oracle-per-cell behaviour exactly.  Tests that need a
+    counting oracle pass ``store=GraphStore(oracle_factory=...)``.
     """
     if store is not None:
         return store
-    return GraphStore(oracle_factory=oracle_factory)
+    return GraphStore()
 
 
 #: Kept as the public name of the store's entry type: experiment code reads
@@ -230,7 +225,6 @@ def scaling_cell(
     scheme_factories: Dict[str, SchemeFactory],
     config: ExperimentConfig,
     *,
-    oracle_factory: Optional[OracleFactory] = None,
     store: Optional[GraphStore] = None,
 ) -> CellPayload:
     """Compute one standard scaling cell: every scheme on one graph instance.
@@ -245,7 +239,7 @@ def scaling_cell(
     """
     cell_seed = derive_cell_seed(config.seed, experiment_id, family, n)
     instance_seed = derive_instance_seed(config.seed, family, n)
-    entry = ensure_store(store, oracle_factory).instance(
+    entry = ensure_store(store).instance(
         family, n, instance_seed, graph_factory
     )
     graph, oracle = entry.graph, entry.oracle
@@ -289,7 +283,6 @@ def run_experiment(
     module,
     config: Optional[ExperimentConfig] = None,
     *,
-    oracle_factory=None,
     store: Optional[GraphStore] = None,
 ):
     """Default ``run()`` implementation: compute every cell locally, assemble.
@@ -301,11 +294,9 @@ def run_experiment(
     instances the way the sweep executor does).
     """
     config = config or ExperimentConfig.full()
-    store = ensure_store(store, oracle_factory)
+    store = ensure_store(store)
     cells = {
-        (family, n): module.run_cell(
-            config, family, n, oracle_factory=oracle_factory, store=store
-        )
+        (family, n): module.run_cell(config, family, n, store=store)
         for family, n in module.cell_keys(config)
     }
     return module.assemble(config, cells)

@@ -48,7 +48,6 @@ from repro.core.ball_scheme import BallScheme
 from repro.core.uniform import UniformScheme
 from repro.experiments.common import (
     CellPayload,
-    OracleFactory,
     collect_series,
     run_experiment,
     scaling_cell,
@@ -97,7 +96,6 @@ def run_cell(
     family: str,
     n: int,
     *,
-    oracle_factory: Optional[OracleFactory] = None,
     store: Optional[GraphStore] = None,
 ) -> CellPayload:
     """Route all four level-mixture variants on one shared ring instance.
@@ -122,7 +120,6 @@ def run_cell(
             "uniform scheme": lambda g, s, o: UniformScheme(g, seed=s),
         },
         config,
-        oracle_factory=oracle_factory,
         store=store,
     )
 
@@ -154,11 +151,9 @@ def assemble(
     return result
 
 
-def run(
-    config: ExperimentConfig | None = None, *, oracle_factory: Optional[OracleFactory] = None
-) -> ExperimentResult:
+def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     """Run the ablation sweep on rings and return the structured result."""
-    return run_experiment(sys.modules[__name__], config, oracle_factory=oracle_factory)
+    return run_experiment(sys.modules[__name__], config)
 
 
 def main() -> None:  # pragma: no cover - CLI convenience

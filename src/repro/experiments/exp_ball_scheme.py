@@ -36,7 +36,6 @@ from repro.core.ball_scheme import BallScheme
 from repro.core.uniform import UniformScheme
 from repro.experiments.common import (
     CellPayload,
-    OracleFactory,
     collect_series,
     run_experiment,
     scaling_cell,
@@ -73,7 +72,6 @@ def run_cell(
     family: str,
     n: int,
     *,
-    oracle_factory: Optional[OracleFactory] = None,
     store: Optional[GraphStore] = None,
 ) -> CellPayload:
     """Route the ball and uniform schemes on one shared (family, n) instance.
@@ -94,7 +92,6 @@ def run_cell(
             f"uniform/{family}": lambda graph, seed, oracle: UniformScheme(graph, seed=seed),
         },
         config,
-        oracle_factory=oracle_factory,
         store=store,
     )
 
@@ -130,11 +127,9 @@ def assemble(
     return result
 
 
-def run(
-    config: ExperimentConfig | None = None, *, oracle_factory: Optional[OracleFactory] = None
-) -> ExperimentResult:
+def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     """Run the sweep and return the structured result."""
-    return run_experiment(sys.modules[__name__], config, oracle_factory=oracle_factory)
+    return run_experiment(sys.modules[__name__], config)
 
 
 def main() -> None:  # pragma: no cover - CLI convenience

@@ -39,7 +39,6 @@ from repro.analysis.reporting import ExperimentResult, SeriesResult
 from repro.core.kleinberg import DistancePowerScheme
 from repro.experiments.common import (
     CellPayload,
-    OracleFactory,
     cell_payload,
     derive_cell_seed,
     derive_instance_seed,
@@ -89,7 +88,6 @@ def run_cell(
     family: str,
     n: int,
     *,
-    oracle_factory: Optional[OracleFactory] = None,
     store: Optional[GraphStore] = None,
 ) -> CellPayload:
     """Compute the sensitivity sweep or one size-sweep point on a shared torus.
@@ -101,7 +99,7 @@ def run_cell(
     """
     seed = derive_cell_seed(config.seed, EXPERIMENT_ID, family, n)
     instance_seed = derive_instance_seed(config.seed, "torus2d", n)
-    entry = ensure_store(store, oracle_factory).instance(
+    entry = ensure_store(store).instance(
         "torus2d", n, instance_seed, _torus
     )
     graph, oracle = entry.graph, entry.oracle
@@ -182,11 +180,9 @@ def assemble(
     return result
 
 
-def run(
-    config: ExperimentConfig | None = None, *, oracle_factory: Optional[OracleFactory] = None
-) -> ExperimentResult:
+def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     """Run the sweep and return the structured result."""
-    return run_experiment(sys.modules[__name__], config, oracle_factory=oracle_factory)
+    return run_experiment(sys.modules[__name__], config)
 
 
 def main() -> None:  # pragma: no cover - CLI convenience

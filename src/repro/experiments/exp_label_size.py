@@ -47,7 +47,6 @@ from repro.core.adversarial import block_labeling
 from repro.core.matrix import MatrixScheme, harmonic_label_matrix
 from repro.experiments.common import (
     CellPayload,
-    OracleFactory,
     cell_payload,
     derive_cell_seed,
     derive_instance_seed,
@@ -103,7 +102,6 @@ def run_cell(
     family: str,
     n: int,
     *,
-    oracle_factory: Optional[OracleFactory] = None,
     store: Optional[GraphStore] = None,
 ) -> CellPayload:
     """Route the harmonic matrix at one (label budget, n) on the hard pair.
@@ -114,7 +112,7 @@ def run_cell(
     *store*.
     """
     seed = derive_cell_seed(config.seed, EXPERIMENT_ID, family, n)
-    entry = ensure_store(store, oracle_factory).instance(
+    entry = ensure_store(store).instance(
         "path",
         n,
         derive_instance_seed(config.seed, "path", n),
@@ -179,11 +177,9 @@ def assemble(
     return result
 
 
-def run(
-    config: ExperimentConfig | None = None, *, oracle_factory: Optional[OracleFactory] = None
-) -> ExperimentResult:
+def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     """Run the sweep and return the structured result."""
-    return run_experiment(sys.modules[__name__], config, oracle_factory=oracle_factory)
+    return run_experiment(sys.modules[__name__], config)
 
 
 def main() -> None:  # pragma: no cover - CLI convenience

@@ -48,7 +48,6 @@ from repro.decomposition.pathshape import estimate_pathshape
 from repro.experiments.common import (
     CellPayload,
     GraphFactory,
-    OracleFactory,
     cell_payload,
     collect_series,
     derive_cell_seed,
@@ -98,7 +97,6 @@ def run_cell(
     family: str,
     n: int,
     *,
-    oracle_factory: Optional[OracleFactory] = None,
     store: Optional[GraphStore] = None,
 ) -> CellPayload:
     """Route the three scheme variants on one shared (family, n) instance.
@@ -109,7 +107,7 @@ def run_cell(
     """
     cell_seed = derive_cell_seed(config.seed, EXPERIMENT_ID, family, n)
     instance_seed = derive_instance_seed(config.seed, family, n)
-    entry = ensure_store(store, oracle_factory).instance(
+    entry = ensure_store(store).instance(
         family, n, instance_seed, _families()[family]
     )
     graph, oracle = entry.graph, entry.oracle
@@ -172,11 +170,9 @@ def assemble(
     return result
 
 
-def run(
-    config: ExperimentConfig | None = None, *, oracle_factory: Optional[OracleFactory] = None
-) -> ExperimentResult:
+def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     """Run the sweep and return the structured result."""
-    return run_experiment(sys.modules[__name__], config, oracle_factory=oracle_factory)
+    return run_experiment(sys.modules[__name__], config)
 
 
 def main() -> None:  # pragma: no cover - CLI convenience

@@ -50,7 +50,6 @@ from repro.core.matrix import (
 )
 from repro.experiments.common import (
     CellPayload,
-    OracleFactory,
     cell_payload,
     derive_cell_seed,
     derive_instance_seed,
@@ -96,7 +95,6 @@ def run_cell(
     family: str,
     n: int,
     *,
-    oracle_factory: Optional[OracleFactory] = None,
     store: Optional[GraphStore] = None,
 ) -> CellPayload:
     """Route one matrix under the adversarial and identity labelings.
@@ -106,7 +104,7 @@ def run_cell(
     ``"path"`` instance in the sweep-wide *store*.
     """
     seed = derive_cell_seed(config.seed, EXPERIMENT_ID, family, n)
-    entry = ensure_store(store, oracle_factory).instance(
+    entry = ensure_store(store).instance(
         "path",
         n,
         derive_instance_seed(config.seed, "path", n),
@@ -175,11 +173,9 @@ def assemble(
     return result
 
 
-def run(
-    config: ExperimentConfig | None = None, *, oracle_factory: Optional[OracleFactory] = None
-) -> ExperimentResult:
+def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     """Run the sweep and return the structured result."""
-    return run_experiment(sys.modules[__name__], config, oracle_factory=oracle_factory)
+    return run_experiment(sys.modules[__name__], config)
 
 
 def main() -> None:  # pragma: no cover - CLI convenience

@@ -49,7 +49,6 @@ from repro.core.uniform import UniformScheme
 from repro.decomposition.exact import path_decomposition_of_interval_graph
 from repro.experiments.common import (
     CellPayload,
-    OracleFactory,
     cell_payload,
     collect_series,
     derive_cell_seed,
@@ -109,7 +108,6 @@ def run_cell(
     family: str,
     n: int,
     *,
-    oracle_factory: Optional[OracleFactory] = None,
     store: Optional[GraphStore] = None,
 ) -> CellPayload:
     """Route the three scheme variants on one shared instance + decomposition.
@@ -119,7 +117,7 @@ def run_cell(
     """
     cell_seed = derive_cell_seed(config.seed, EXPERIMENT_ID, family, n)
     instance_seed = derive_instance_seed(config.seed, family, n)
-    entry = ensure_store(store, oracle_factory).instance(
+    entry = ensure_store(store).instance(
         family, n, instance_seed, _tree_instances()[family]
     )
     graph, oracle = entry.graph, entry.oracle
@@ -178,11 +176,9 @@ def assemble(
     return result
 
 
-def run(
-    config: ExperimentConfig | None = None, *, oracle_factory: Optional[OracleFactory] = None
-) -> ExperimentResult:
+def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     """Run the sweep and return the structured result."""
-    return run_experiment(sys.modules[__name__], config, oracle_factory=oracle_factory)
+    return run_experiment(sys.modules[__name__], config)
 
 
 def main() -> None:  # pragma: no cover - CLI convenience

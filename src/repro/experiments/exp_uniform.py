@@ -32,7 +32,6 @@ from repro.analysis.reporting import ExperimentResult
 from repro.core.uniform import UniformScheme
 from repro.experiments.common import (
     CellPayload,
-    OracleFactory,
     collect_series,
     run_experiment,
     scaling_cell,
@@ -65,7 +64,6 @@ def run_cell(
     family: str,
     n: int,
     *,
-    oracle_factory: Optional[OracleFactory] = None,
     store: Optional[GraphStore] = None,
 ) -> CellPayload:
     """Route the uniform scheme on one (family, n) graph instance.
@@ -82,7 +80,6 @@ def run_cell(
         factory,
         {f"uniform/{family}": lambda graph, seed, oracle: UniformScheme(graph, seed=seed)},
         config,
-        oracle_factory=oracle_factory,
         store=store,
     )
 
@@ -110,11 +107,9 @@ def assemble(
     return result
 
 
-def run(
-    config: ExperimentConfig | None = None, *, oracle_factory: Optional[OracleFactory] = None
-) -> ExperimentResult:
+def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     """Run the sweep and return the structured result."""
-    return run_experiment(sys.modules[__name__], config, oracle_factory=oracle_factory)
+    return run_experiment(sys.modules[__name__], config)
 
 
 def main() -> None:  # pragma: no cover - CLI convenience

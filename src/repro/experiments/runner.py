@@ -55,7 +55,6 @@ from repro.experiments import (
     exp_uniform,
 )
 from repro.experiments import lease as lease_module
-from repro.experiments.common import OracleFactory
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.lease import DEFAULT_LEASE_TTL
 from repro.graphs import kernels
@@ -182,10 +181,6 @@ class SweepExecutor:
     resume:
         Skip cells whose artifact already exists in ``artifacts_dir`` with a
         matching config fingerprint (requires ``artifacts_dir``).
-    oracle_factory:
-        Test hook building the per-cell oracle (e.g. a counting oracle).
-        Factories are generally not picklable, so setting one forces
-        in-process execution regardless of ``jobs``.
     graph_cache:
         Directory for the :class:`~repro.graphs.store.GraphStore`'s disk
         spill.  Serial runs spill each warmed instance after its cell;
@@ -228,7 +223,6 @@ class SweepExecutor:
         jobs: int = 1,
         artifacts_dir: Optional[Union[str, Path]] = None,
         resume: bool = False,
-        oracle_factory: Optional[OracleFactory] = None,
         graph_cache: Optional[Union[str, Path]] = None,
         store: Optional[GraphStore] = None,
         shard: bool = False,
@@ -255,13 +249,11 @@ class SweepExecutor:
         self._shard = shard
         self._lease_ttl = float(lease_ttl)
         self._poll_interval = float(poll_interval)
-        self._oracle_factory = oracle_factory
         self._graph_cache = Path(graph_cache) if graph_cache is not None else None
         self._oracle_max_bytes = oracle_max_bytes
         if store is None:
             store = GraphStore(
                 spill_dir=self._graph_cache,
-                oracle_factory=oracle_factory,
                 oracle_max_bytes=oracle_max_bytes,
                 distance_mode=config.distance_mode,
                 landmarks=config.landmarks,
@@ -345,7 +337,6 @@ class SweepExecutor:
 
         in_process = (
             self._jobs == 1
-            or self._oracle_factory is not None
             or not self._private_store
             or len(pending) <= 1
         )
@@ -355,11 +346,7 @@ class SweepExecutor:
             for cell in pending:
                 module = _module_by_id(cell.experiment_id)
                 payload = module.run_cell(
-                    self._config,
-                    cell.family,
-                    cell.n,
-                    oracle_factory=self._oracle_factory,
-                    store=self.store,
+                    self._config, cell.family, cell.n, store=self.store
                 )
                 # Spill after every cell so an interrupted sweep still leaves
                 # its BFS arrays behind for the next (or a parallel) run.
@@ -421,11 +408,7 @@ class SweepExecutor:
                             module = _module_by_id(cell.experiment_id)
                             kernels.warmup_active()
                             computed = module.run_cell(
-                                self._config,
-                                cell.family,
-                                cell.n,
-                                oracle_factory=self._oracle_factory,
-                                store=self.store,
+                                self._config, cell.family, cell.n, store=self.store
                             )
                             self.store.spill()
                             self._finish(payloads, cell, computed, kernels.backend_stats())
@@ -457,7 +440,6 @@ def run_all(
     jobs: int = 1,
     artifacts_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    oracle_factory: Optional[OracleFactory] = None,
     graph_cache: Optional[Union[str, Path]] = None,
     store: Optional[GraphStore] = None,
     stats: Optional[dict] = None,
@@ -483,8 +465,6 @@ def run_all(
     resume:
         Skip cells whose artifact already exists (requires ``artifacts_dir``);
         the report is assembled from the mix of loaded and fresh cells.
-    oracle_factory:
-        Test hook for the per-cell distance oracle (forces in-process runs).
     graph_cache:
         Directory for the GraphStore's BFS/next_local ``.spill`` files
         (shares instances across worker processes and across separate runs).
@@ -514,7 +494,6 @@ def run_all(
         jobs=jobs,
         artifacts_dir=artifacts_dir,
         resume=resume,
-        oracle_factory=oracle_factory,
         graph_cache=graph_cache,
         store=store,
         shard=shard,

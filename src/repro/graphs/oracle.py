@@ -31,10 +31,10 @@ decomposition-local oracle in ``repro.decomposition.bags``).  The
   (see :func:`next_local_pointers_many`), which is what erases the lane
   engine's per-cell cold start: the first scheme of a cell no longer pays
   one Python round-trip per target,
-* :meth:`routing_blocks` serves the lane engine's stacked per-target blocks
-  out of a preallocated, incrementally refilled buffer pair — a row is
-  rewritten only when the target occupying it changes, so switching between
-  target tuples costs the changed rows, not three fresh ``k·n`` stacks,
+* :meth:`routing_blocks` serves the lane engine's per-target blocks out of
+  one append-only pool per oracle — a target gets a row the first time any
+  caller routes to it and keeps it, so sweeps, ``repro route`` and served
+  queries all look pooled targets up one at a time and never re-stack,
 * :meth:`export_state` / :meth:`absorb_state` round-trip the cached arrays
   as plain numpy blocks so the :class:`~repro.graphs.store.GraphStore` can
   spill a warmed oracle to disk and rebuild it in another process without a
@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import tempfile
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,6 +87,11 @@ __all__ = [
 #: hop comparisons.  The lane engine imports this same constant, so producer
 #: and consumer of the masked blocks can never disagree.
 FAR_DISTANCE: int = np.iinfo(np.int64).max
+
+#: Cap on the routing-block pool: a call that would take the pool past it
+#: starts the pool over with that call's targets.  50k-node rows are ~0.8 MB
+#: a pair, so a full pool stays around 200 MB at the serve benchmark's size.
+_MAX_BLOCK_TARGETS: int = 256
 
 
 def next_local_pointers(
@@ -365,15 +370,13 @@ class DistanceOracle:
         #: Padded adjacency for the batched pointer pass (None = not built
         #: yet, False = this graph rejected padding — hub-dominated).
         self._padded = None
-        #: Single-slot cache of the lane engine's stacked per-target blocks,
-        #: keyed by the exact targets tuple (see :meth:`routing_blocks`).
-        self._blocks: Optional[tuple] = None
-        #: Preallocated backing storage for :meth:`routing_blocks`: the
-        #: ``(capacity, n)`` distance/hop-table buffers plus, per row, the
-        #: target whose (deterministic) content currently occupies it — so a
-        #: rebuild for a new targets tuple refills only the rows that
-        #: actually changed instead of re-stacking ``3·k·n`` fresh copies.
-        self._block_storage: Optional[Tuple[np.ndarray, np.ndarray, list]] = None
+        #: The routing-block pool (see :meth:`routing_blocks`): pooled
+        #: targets in row order, target -> row, and the ``(capacity, n)``
+        #: distance/hop-table buffers the rows live in.
+        self._block_targets: List[int] = []
+        self._block_rows: Dict[int, int] = {}
+        self._block_storage: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._block_resets = 0
         self._hits = 0
         self._misses = 0
         self._preloaded = 0
@@ -442,6 +445,16 @@ class DistanceOracle:
         """Number of arrays absorbed from a spilled state (no BFS, no hit)."""
         return self._preloaded
 
+    @property
+    def block_targets(self) -> Tuple[int, ...]:
+        """Targets in the routing-block pool, in row order (a snapshot copy)."""
+        return tuple(self._block_targets)
+
+    @property
+    def block_resets(self) -> int:
+        """Times the routing-block pool started over at its target cap."""
+        return self._block_resets
+
     def cache_size(self) -> int:
         """Number of distance arrays currently cached."""
         return len(self._cache)
@@ -451,10 +464,11 @@ class DistanceOracle:
         return len(self._next_local)
 
     def clear(self) -> None:
-        """Drop every cached array (hit/miss and tier counters are kept)."""
+        """Drop every cached array and the block pool (counters are kept)."""
         self._cache.clear()
         self._next_local.clear()
-        self._blocks = None
+        self._block_targets = []
+        self._block_rows = {}
         self._block_storage = None
         if self._cold_tier is not None:
             self._cold_tier.close()
@@ -792,82 +806,76 @@ class DistanceOracle:
                 table.setflags(write=False)
                 self._store_next_local(t, table)
 
-    def routing_blocks(self, targets: Sequence[int]) -> tuple:
-        """Stacked lane-engine blocks for *targets*: ``(dist_block, next_local_block)``.
+    def routing_blocks(
+        self, targets: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lane-engine blocks covering *targets*: ``(dist_block, next_local_block, rows)``.
 
-        ``dist_block[i]`` is ``dist_G(·, targets[i])`` with ``UNREACHABLE``
-        already replaced by a larger-than-any-distance sentinel (so the
-        engine's min-comparisons need no per-step masking), and
-        ``next_local_block[i]`` the matching hop table.  Both are read-only,
-        shape ``(len(targets), n)``.
+        Row ``rows[i]`` of ``dist_block`` is ``dist_G(·, targets[i])`` with
+        ``UNREACHABLE`` already replaced by :data:`FAR_DISTANCE` (so the
+        engine's min-comparisons need no per-step masking), and the same row
+        of ``next_local_block`` is the matching hop table.  Targets may repeat
+        and come in any order.
 
-        The pair is memoised in a **single-slot** cache keyed by the exact
-        targets tuple: an experiment cell routes every scheme over the same
-        seeded pairs, so the second and later schemes (and repeated benchmark
-        rounds) reuse the blocks outright.  Any other tuple *refills* a
-        preallocated backing buffer instead of re-stacking three fresh
-        ``k·n`` copies (the ``np.stack`` of 3×25 MB blocks at 50k the ROADMAP
-        flagged): a row's content is a pure function of its target, so only
-        rows whose target actually changed are rewritten — and the sentinel
-        masking happens during the row copy, not as an extra block-wide pass.
+        The rows live in one append-only **pool** per oracle: a target gets a
+        row the first time any caller asks for it and keeps it, so a call
+        over pooled targets costs one dict lookup per distinct target and no
+        cache traffic.  Fresh targets are warmed together (one batched
+        frontier sweep, one hop-table pass) and appended in sorted order; the
+        buffers grow geometrically, carry their rows over and count against
+        ``max_bytes``.  A call that would take the pool past
+        ``_MAX_BLOCK_TARGETS`` targets, or past ``max_bytes`` (the buffers
+        cannot spill), starts it over with this call's distinct targets
+        (counted by :attr:`block_resets`).
 
-        Consequently the returned arrays are **views of reused storage**:
-        they stay valid until the next :meth:`routing_blocks` call with a
-        *different* targets tuple (or :meth:`clear`), which rewrites them in
-        place.  The lane engine consumes them within one ``route_lanes``
-        call; callers that need longer-lived blocks must copy.
+        Both blocks are read-only views of the pool, shape
+        ``(len(block_targets), n)``, valid until a call adds a target (or
+        :meth:`clear`); callers that need them longer must copy.
         """
-        key = tuple(int(t) for t in targets)
-        if self._blocks is not None and self._blocks[0] == key:
-            return self._blocks[1], self._blocks[2]
         n = self._graph.num_nodes
-        for t in key:
-            check_node_index(t, n, "target")
-        k = len(key)
-        # Warm everything batched first: one frontier sweep for the missing
-        # distance rows, one transposed composite-key pass for the missing
-        # hop tables — this is what lifts the lane engine's cold
-        # (first-scheme) estimate to the warm rate.
-        self.prefetch(key)
-        self._ensure_next_local(key)
+        targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+        if targets.size and (targets.min() < 0 or targets.max() >= n):
+            raise ValueError(f"target index out of range [0, {n})")
+        uniq, inverse = np.unique(targets, return_inverse=True)
+        uniq = uniq.tolist()
+        pool_rows = self._block_rows
+        fresh = [t for t in uniq if t not in pool_rows]
+        cap = _MAX_BLOCK_TARGETS
+        if self._max_bytes is not None:  # two int64 rows per pooled target
+            cap = min(cap, self._max_bytes // (16 * max(n, 1)))
+        if fresh and len(self._block_targets) + len(fresh) > cap:
+            self._block_targets, self._block_rows = [], {}
+            pool_rows, fresh = self._block_rows, uniq
+            self._block_resets += 1
+        if fresh:
+            self.prefetch(fresh)
+            self._ensure_next_local(fresh)
+        used = len(self._block_targets)
+        k = used + len(fresh)
         storage = self._block_storage
         if storage is None or storage[0].shape[0] < k:
-            # Grow geometrically and *carry the old rows over*: sessions that
-            # pin an append-only target list (the serve layer) extend the
-            # tuple by a few targets per batch, and rebuilding the whole
-            # buffer from scratch each time would turn every growth into a
-            # full k·n refill instead of just the new rows.
-            capacity = k if storage is None else max(k, 2 * storage[0].shape[0])
-            grown = (
-                np.empty((capacity, n), dtype=np.int64),
-                np.empty((capacity, n), dtype=np.int64),
-                [-1] * capacity,
-            )
+            capacity = k if storage is None else max(k, min(2 * storage[0].shape[0], cap))
+            grown = (np.empty((capacity, n), np.int64), np.empty((capacity, n), np.int64))
             if storage is not None:
-                old = storage[0].shape[0]
-                grown[0][:old] = storage[0]
-                grown[1][:old] = storage[1]
-                grown[2][:old] = storage[2]
-            storage = grown
-            self._block_storage = storage
+                grown[0][:used] = storage[0][:used]
+                grown[1][:used] = storage[1][:used]
+            self._block_storage = storage = grown
             # The buffers count against the byte budget: growing them may
             # push hot rows out to the cold tier.
             self._enforce_budget()
-        dist_buf, nl_buf, row_targets = storage
-        for i, t in enumerate(key):
-            if row_targets[i] == t:
-                continue  # deterministic content, already in place
-            row = dist_buf[i]
-            np.copyto(row, self.distances_from(t))
-            row[row == UNREACHABLE] = FAR_DISTANCE
-            np.copyto(nl_buf[i], self.next_local_to(t))
-            row_targets[i] = t
-        dist_block = dist_buf[:k]
-        next_local_block = nl_buf[:k]
+        dist_buf, nl_buf = storage
+        for row, t in enumerate(fresh, used):
+            dist_row = dist_buf[row]
+            np.copyto(dist_row, self.distances_from(t))
+            dist_row[dist_row == UNREACHABLE] = FAR_DISTANCE
+            np.copyto(nl_buf[row], self.next_local_to(t))
+            pool_rows[t] = row
+        self._block_targets.extend(fresh)
+        lookup = np.fromiter((pool_rows[t] for t in uniq), dtype=np.int64, count=len(uniq))
+        dist_block, next_local_block = dist_buf[:k], nl_buf[:k]
         dist_block.setflags(write=False)
         next_local_block.setflags(write=False)
-        self._blocks = (key, dist_block, next_local_block)
-        return dist_block, next_local_block
+        return dist_block, next_local_block, lookup[inverse]
 
     def __call__(self, u: int, v: int) -> int:
         """``dist_G(u, v)`` (``UNREACHABLE`` = -1 across components)."""

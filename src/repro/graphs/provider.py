@@ -33,7 +33,7 @@ threads the mode through rather than naming a concrete class.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Dict, Iterable, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -86,7 +86,26 @@ class DistanceProvider(Protocol):
 
     def next_local_to_many(self, targets: Sequence[int]) -> np.ndarray: ...
 
-    def routing_blocks(self, targets: Sequence[int]) -> tuple: ...
+    def routing_blocks(
+        self, targets: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(dist_block, next_local_block, rows)``: ``rows[i]`` is ``targets[i]``'s row.
+
+        The only way to get routing blocks.  The rows come from the
+        provider's append-only per-target pool, so sweeps and served queries
+        share them; the views stay valid until a call adds a target.
+        """
+        ...
+
+    @property
+    def block_targets(self) -> Tuple[int, ...]:
+        """Targets in the routing-block pool, in row order."""
+        ...
+
+    @property
+    def block_resets(self) -> int:
+        """Times the routing-block pool started over at its target cap."""
+        ...
 
     def prefetch(self, sources: Iterable[int]) -> None: ...
 

@@ -12,14 +12,14 @@ array ``dist_G(·, t)``, the best *local* next hop of every node is
 deterministic — it does not depend on the trial's random long-range links.
 The per-target pointer table ``next_local[u]`` (first CSR-order neighbour of
 ``u`` at minimum distance, exactly the candidate ``greedy_route`` scans to)
-is precomputed for *all* of a batch's targets in one transposed
-composite-key pass (:meth:`DistanceOracle.next_local_to_many`, via
-``routing_blocks``) and cached on the shared
-:class:`~repro.graphs.oracle.DistanceOracle` — with the
-:class:`~repro.graphs.store.GraphStore` threading one oracle through every
-experiment that sweeps the instance, the tables are built once per graph,
-not once per (experiment, scheme).  A lane step then reduces to elementwise
-numpy arithmetic across thousands of lanes:
+is precomputed for *all* of a batch's fresh targets in one transposed
+composite-key pass and kept, next to the sentinel-masked distance row, in the
+shared :class:`~repro.graphs.oracle.DistanceOracle`'s routing-block pool
+(:meth:`~repro.graphs.oracle.DistanceOracle.routing_blocks`, the one way to
+get blocks) — with the :class:`~repro.graphs.store.GraphStore` threading one
+oracle through every experiment that sweeps the instance, the rows are built
+once per graph, not once per (experiment, scheme).  A lane step then reduces
+to elementwise numpy arithmetic across thousands of lanes:
 
 1. gather each active lane's current distance and precomputed local hop,
 2. draw every lane's long-range contact in one batched call to the scheme's
@@ -126,7 +126,6 @@ def route_lanes(
     lane_seeds: np.ndarray,
     max_steps: Optional[int] = None,
     oracle: Optional[DistanceProvider] = None,
-    blocks: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> LaneBatchResult:
     """Route ``len(pairs) * trials`` greedy lanes step-synchronously.
 
@@ -152,17 +151,11 @@ def route_lanes(
         inconsistent inputs and raises ``RuntimeError``.
     oracle:
         Shared :class:`~repro.graphs.provider.DistanceProvider`; the engine
-        pulls one distance row and one ``next_local`` table per pair through
-        its *exact tier* — greedy's strict-``<`` comparisons need genuine BFS
-        rows in every ``distance_mode`` (a private exact oracle is created
-        when omitted).
-    blocks:
-        Optional pre-resolved ``(dist_block, next_local_block, pair_rows)``
-        triple: ``pair_rows[i]`` is the block row holding pair ``i``'s
-        target, letting sessions that pin long-lived blocks bypass the
-        oracle's single-slot cache.  By default the engine deduplicates the
-        batch's targets and pulls one block row per *distinct* target from
-        the oracle.
+        reads each pair's distance row and ``next_local`` table from its
+        routing-block pool (:meth:`~repro.graphs.oracle.DistanceOracle.routing_blocks`,
+        one row per distinct target) — genuine BFS rows in every
+        ``distance_mode``, as greedy's strict-``<`` comparisons need (a
+        private exact oracle is created when omitted).
     """
     if scheme.graph is not graph and not scheme.graph.same_structure(graph):
         raise ValueError("scheme was built for a different graph")
@@ -180,31 +173,12 @@ def route_lanes(
         raise ValueError(f"lane_seeds must have shape (num_lanes,) = ({num_lanes},)")
     uniform_rows = max(1, int(type(scheme).uniforms_per_contact))
 
-    # Per-pair distance rows (sentinel-masked) and local-hop tables, all
-    # through the shared oracle: one batched frontier sweep for the missing
-    # targets, one cached argmin pass per distinct target, and a single-slot
-    # block cache so repeated estimates over the same targets (e.g. every
-    # scheme of an experiment cell) skip the stacking entirely.  The batch's
-    # targets are deduplicated first — one block row per *distinct* target —
-    # so serve batches full of repeated targets don't refill k near-identical
-    # rows.  The blocks are consumed through flat ``row * n + node`` keys,
-    # like the frontier engine's batched BFS.
-    if blocks is None:
-        uniq_targets, pair_rows = np.unique(targets, return_inverse=True)
-        dist_block, next_local_block = oracle.routing_blocks(uniq_targets)
-    else:
-        dist_block, next_local_block, pair_rows = blocks
-        pair_rows = np.ascontiguousarray(pair_rows, dtype=np.int64)
-        if pair_rows.shape != (num_pairs,):
-            raise ValueError(f"pair_rows must have shape (num_pairs,) = ({num_pairs},)")
-        if dist_block.ndim != 2 or dist_block.shape[1] != n or (
-            next_local_block.shape != dist_block.shape
-        ):
-            raise ValueError("blocks must be (k, n) dist/next_local stacks")
-        if pair_rows.size and (
-            pair_rows.min() < 0 or pair_rows.max() >= dist_block.shape[0]
-        ):
-            raise ValueError("pair_rows index out of range for the supplied blocks")
+    # Per-pair distance rows (sentinel-masked) and local-hop tables from the
+    # oracle's routing-block pool: rows of targets an earlier call (another
+    # scheme of the cell, an earlier serve batch) pooled cost a dict lookup;
+    # fresh targets are warmed together.  The blocks are consumed through
+    # flat ``row * n + node`` keys, like the frontier engine's batched BFS.
+    dist_block, next_local_block, pair_rows = oracle.routing_blocks(targets)
     flat_dist = np.ascontiguousarray(dist_block).reshape(-1)
     flat_local = np.ascontiguousarray(next_local_block).reshape(-1)
     unreachable = dist_block[pair_rows, sources] == _FAR
@@ -223,7 +197,7 @@ def route_lanes(
     long_links = np.zeros(num_lanes, dtype=np.int64)
     success = np.zeros(num_lanes, dtype=bool)
     ids = np.arange(num_lanes, dtype=np.int64)
-    base = np.repeat(np.asarray(pair_rows, dtype=np.int64) * n, trials)
+    base = np.repeat(pair_rows * n, trials)
     cur = np.repeat(sources, trials)
     tgt = np.repeat(targets, trials)
     used = np.zeros(num_lanes, dtype=np.int64)

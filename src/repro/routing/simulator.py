@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.base import AugmentationScheme
 from repro.graphs.graph import Graph
-from repro.graphs.oracle import FAR_DISTANCE, DistanceOracle
+from repro.graphs.oracle import FAR_DISTANCE
 from repro.graphs.provider import DistanceProvider, provider_for
 from repro.routing.engine import route_lanes
 from repro.routing.sampling import extremal_pairs, uniform_pairs
@@ -159,7 +159,6 @@ def route_queries(
     *,
     oracle: Optional[DistanceProvider] = None,
     max_steps: Optional[int] = None,
-    blocks: Optional[tuple] = None,
 ) -> List[QueryOutcome]:
     """Route a batch of ``(source, target, seed)`` queries, one trial each.
 
@@ -174,10 +173,10 @@ def route_queries(
     routing strictly decreases the distance each step, so no consistent
     instance can exhaust that budget.
 
-    *blocks* optionally supplies pre-pinned routing blocks as
-    ``(dist_block, next_local_block, {target: row})`` — the
-    :class:`repro.session.RoutingSession` path; by default the blocks are
-    pulled from *oracle* (deduplicated by target).
+    The blocks come from *oracle*'s routing-block pool
+    (:meth:`~repro.graphs.oracle.DistanceOracle.routing_blocks`), the same
+    rows sweeps route on; one gather over them gives every in-range query's
+    graph distance and reachability.
     """
     if scheme.graph is not graph and not scheme.graph.same_structure(graph):
         raise ValueError("scheme was built for a different graph")
@@ -185,6 +184,7 @@ def route_queries(
     queries = [(int(s), int(t), int(q)) for (s, t, q) in queries]
     outcomes: List[Optional[QueryOutcome]] = [None] * len(queries)
     valid: List[int] = []
+    # Python range checks: JSON integers can exceed int64.
     for i, (s, t, q) in enumerate(queries):
         if not (0 <= s < n):
             outcomes[i] = QueryOutcome(s, t, q, error="source index out of range")
@@ -192,55 +192,42 @@ def route_queries(
             outcomes[i] = QueryOutcome(s, t, q, error="target index out of range")
         else:
             valid.append(i)
-    if valid:
-        if blocks is None:
-            if oracle is None:
-                oracle = DistanceOracle(graph)
-            uniq, inverse = np.unique(
-                np.asarray([queries[i][1] for i in valid], dtype=np.int64),
-                return_inverse=True,
-            )
-            dist_block, next_local_block = oracle.routing_blocks(uniq)
-            rows = {i: int(inverse[j]) for j, i in enumerate(valid)}
+    if not valid:
+        return outcomes  # type: ignore[return-value]
+    oracle = provider_for(graph, oracle)
+    sources = np.asarray([queries[i][0] for i in valid], dtype=np.int64)
+    targets = np.asarray([queries[i][1] for i in valid], dtype=np.int64)
+    dist_block, _, rows = oracle.routing_blocks(targets)
+    routable: List[Tuple[int, int]] = []  # (query index, graph distance)
+    for i, d in zip(valid, dist_block[rows, sources].tolist()):
+        if d == FAR_DISTANCE:
+            outcomes[i] = QueryOutcome(*queries[i], error="target is not reachable from source")
         else:
-            dist_block, next_local_block, row_of = blocks
-            rows = {i: int(row_of[queries[i][1]]) for i in valid}
-        routable: List[int] = []
-        for i in valid:
+            routable.append((i, d))
+    if routable:
+        batch = route_lanes(
+            graph,
+            scheme,
+            [queries[i][:2] for i, _ in routable],
+            trials=1,
+            max_steps=n if max_steps is None else max_steps,
+            oracle=oracle,
+            lane_seeds=np.asarray([queries[i][2] for i, _ in routable], dtype=np.uint64),
+        )
+        lanes = zip(
+            routable, batch.steps.tolist(), batch.success.tolist(), batch.long_links.tolist()
+        )
+        for (i, d), steps, success, long_links in lanes:
             s, t, q = queries[i]
-            if dist_block[rows[i], s] == FAR_DISTANCE:
-                outcomes[i] = QueryOutcome(
-                    s, t, q, error="target is not reachable from source"
-                )
-            else:
-                routable.append(i)
-        if routable:
-            pairs = [(queries[i][0], queries[i][1]) for i in routable]
-            query_seeds = np.asarray(
-                [queries[i][2] for i in routable], dtype=np.uint64
+            outcomes[i] = QueryOutcome(
+                source=s,
+                target=t,
+                seed=q,
+                steps=steps,
+                success=success,
+                long_links=long_links,
+                graph_distance=d,
             )
-            pair_rows = np.asarray([rows[i] for i in routable], dtype=np.int64)
-            batch = route_lanes(
-                graph,
-                scheme,
-                pairs,
-                trials=1,
-                max_steps=n if max_steps is None else max_steps,
-                oracle=oracle,
-                lane_seeds=query_seeds,
-                blocks=(dist_block, next_local_block, pair_rows),
-            )
-            for lane, i in enumerate(routable):
-                s, t, q = queries[i]
-                outcomes[i] = QueryOutcome(
-                    source=s,
-                    target=t,
-                    seed=q,
-                    steps=int(batch.steps[lane]),
-                    success=bool(batch.success[lane]),
-                    long_links=int(batch.long_links[lane]),
-                    graph_distance=int(dist_block[rows[i], s]),
-                )
     return outcomes  # type: ignore[return-value]
 
 

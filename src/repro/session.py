@@ -8,8 +8,8 @@ hand — and the serve daemon would have had to repeat that wiring.
 * instance acquisition through a :class:`~repro.graphs.store.GraphStore`
   (cross-session cache; pass ``store=`` to pool instances across sessions),
 * kernel-backend selection (``kernel_backend="numba"`` etc., warmed up front),
-* oracle warmup (:meth:`RoutingSession.warm` pins routing blocks for a pool
-  of targets ahead of traffic),
+* oracle warmup (:meth:`RoutingSession.warm` builds routing blocks for a
+  pool of targets ahead of traffic),
 * batched estimation (:meth:`RoutingSession.route_many`,
   :meth:`RoutingSession.estimate_diameter`) and **served queries**
   (:meth:`RoutingSession.route` / :meth:`RoutingSession.route_queries`).
@@ -27,22 +27,21 @@ query is served alone, micro-batched by the daemon, or recomputed later by a
 client auditing a response.  Repeating a query with a new ``nonce`` draws a
 fresh independent trajectory.
 
-Pinned routing blocks
----------------------
-Serving traffic keeps hitting a warm pool of targets; the session maintains
-an **append-only pinned target list** whose tuple keys the oracle's
-single-slot block cache.  Steady-state batches over warmed targets reuse the
-blocks with zero copying; a new target appends to the tuple (refilling only
-its own row, thanks to the oracle's growth-preserving storage); when the pool
-exceeds ``max_block_targets`` the pin resets to the current batch's targets.
+Routing blocks
+--------------
+Serving traffic keeps hitting a warm pool of targets.  The session keeps no
+blocks of its own: the oracle's append-only routing-block pool
+(:meth:`DistanceOracle.routing_blocks`) holds one row per target, so a batch
+over warmed targets costs one lookup per distinct target, a new target
+builds only its own row, and the pool starts over with the current batch's
+targets when it would pass its cap.  Sweeps (:meth:`RoutingSession.route_many`)
+route on the same pool, and so do sessions that share a store.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.base import AugmentationScheme
 from repro.core.registry import make_scheme
@@ -62,10 +61,6 @@ from repro.routing.simulator import (
 from repro.utils.rng import RngLike
 
 __all__ = ["RoutingSession", "open_session", "derive_query_seed"]
-
-#: Default cap on the pinned-block target pool (50k-node rows are ~0.8 MB
-#: a pair, so 256 pinned targets stay around 200 MB at the benchmark size).
-DEFAULT_MAX_BLOCK_TARGETS = 256
 
 
 def derive_query_seed(session_seed: int, source: int, target: int, nonce: int = 0) -> int:
@@ -110,7 +105,9 @@ def open_session(
         the session creates a private store (``oracle_max_bytes`` /
         ``distance_mode`` / ``landmarks`` configure its providers).  When a
         *store* is given, its own provider configuration wins — pass a store
-        built with the wanted ``distance_mode``.
+        built with the wanted ``distance_mode``.  Closing the session clears
+        the oracle of a private store (its cold-tier file and block pool); a
+        caller's store is left as it is.
     distance_mode:
         Distance provider mode for the session's instance: ``"exact"``
         (default) or ``"landmark"`` (pivot sketch for bulk queries, which
@@ -122,8 +119,8 @@ def open_session(
         Optional BFS/hop-table kernel backend, selected and warmed before any
         BFS runs (results are backend-invariant).
     warm_targets:
-        Targets whose routing blocks are pinned before the session is
-        returned — the daemon's "warm pool".
+        Targets whose routing blocks join the oracle's pool before the
+        session is returned — the daemon's "warm pool".
     """
     if distance_mode not in DISTANCE_MODES:
         raise ValueError(
@@ -133,7 +130,8 @@ def open_session(
     if kernel_backend:
         kernels.set_backend(kernel_backend)
         kernels.warmup_active()
-    if store is None:
+    private = store is None
+    if private:
         store = GraphStore(
             oracle_max_bytes=oracle_max_bytes,
             distance_mode=distance_mode,
@@ -156,7 +154,7 @@ def open_session(
         requested_n=n,
         seed=seed,
         scheme_name=scheme,
-        store=store,
+        store=store if private else None,
     )
     warm = list(warm_targets)
     if warm:
@@ -168,7 +166,8 @@ class RoutingSession:
     """A warmed ``(graph, scheme, oracle)`` triple behind one query surface.
 
     Built by :func:`open_session`; constructable directly for tests or for
-    schemes/graphs outside the family registry.
+    schemes/graphs outside the family registry.  *store* is a store the
+    session owns: :meth:`close` clears the oracle it serves.
     """
 
     def __init__(
@@ -182,7 +181,6 @@ class RoutingSession:
         seed: int = 0,
         scheme_name: Optional[str] = None,
         store: Optional[GraphStore] = None,
-        max_block_targets: int = DEFAULT_MAX_BLOCK_TARGETS,
     ) -> None:
         if scheme.graph is not graph and not scheme.graph.same_structure(graph):
             raise ValueError("scheme was built for a different graph")
@@ -194,12 +192,6 @@ class RoutingSession:
         self._seed = int(seed)
         self._scheme_name = scheme_name or scheme.scheme_name
         self._store = store
-        if max_block_targets < 1:
-            raise ValueError("max_block_targets must be at least 1")
-        self._max_block_targets = int(max_block_targets)
-        self._pinned: List[int] = []
-        self._pinned_rows: Dict[int, int] = {}
-        self._block_resets = 0
         self._queries_served = 0
         self._closed = False
 
@@ -226,8 +218,8 @@ class RoutingSession:
 
     @property
     def warmed_targets(self) -> Tuple[int, ...]:
-        """Targets whose routing blocks are currently pinned."""
-        return tuple(self._pinned)
+        """Targets in the oracle's routing-block pool, in row order."""
+        return self._oracle.block_targets
 
     def info(self) -> dict:
         """Machine-readable session descriptor (the daemon's ``info`` op)."""
@@ -239,9 +231,9 @@ class RoutingSession:
             "scheme": self._scheme_name,
             "graph": self._graph.name,
             "kernel_backend": kernels.backend_stats()["active"],
-            "warmed_targets": list(self._pinned),
+            "warmed_targets": list(self._oracle.block_targets),
             "queries_served": self._queries_served,
-            "block_resets": self._block_resets,
+            "block_resets": self._oracle.block_resets,
             "distance_mode": getattr(self._oracle, "mode", "exact"),
         }
         if out["distance_mode"] != "exact":
@@ -251,31 +243,12 @@ class RoutingSession:
         return out
 
     # ------------------------------------------------------------------ #
-    # Pinned routing blocks
+    # Routing blocks
     # ------------------------------------------------------------------ #
 
     def warm(self, targets: Iterable[int]) -> None:
-        """Pin routing blocks for *targets* ahead of traffic."""
-        self._ensure_blocks([int(t) for t in targets])
-
-    def _ensure_blocks(self, targets: Sequence[int]) -> tuple:
-        """Routing blocks covering *targets*: ``(dist, next_local, {t: row})``.
-
-        Keeps the pinned target list append-only so the tuple handed to
-        :meth:`DistanceOracle.routing_blocks` is stable (single-slot cache
-        hit) or an extension of the previous one (only new rows refill).
-        Resets the pool when it would exceed ``max_block_targets``.
-        """
-        fresh = sorted({int(t) for t in targets} - self._pinned_rows.keys())
-        if fresh:
-            if len(self._pinned) + len(fresh) > self._max_block_targets:
-                self._pinned = sorted({int(t) for t in targets})
-                self._block_resets += 1
-            else:
-                self._pinned.extend(fresh)
-            self._pinned_rows = {t: i for i, t in enumerate(self._pinned)}
-        dist_block, next_local_block = self._oracle.routing_blocks(tuple(self._pinned))
-        return dist_block, next_local_block, self._pinned_rows
+        """Build routing blocks for *targets* in the oracle's pool ahead of traffic."""
+        self._oracle.routing_blocks([int(t) for t in targets])
 
     # ------------------------------------------------------------------ #
     # Served queries (single-trial, seed-policy lanes)
@@ -298,18 +271,8 @@ class RoutingSession:
         """
         if self._closed:
             raise RuntimeError("session is closed")
-        queries = [(int(s), int(t), int(q)) for (s, t, q) in queries]
-        n = self._graph.num_nodes
-        in_range = [t for (_, t, _) in queries if 0 <= t < n]
-        blocks = self._ensure_blocks(in_range) if in_range else None
-        outcomes = route_queries(
-            self._graph,
-            self._scheme,
-            queries,
-            oracle=self._oracle,
-            blocks=blocks,
-        )
-        self._queries_served += len(queries)
+        outcomes = route_queries(self._graph, self._scheme, queries, oracle=self._oracle)
+        self._queries_served += len(outcomes)
         return outcomes
 
     # ------------------------------------------------------------------ #
@@ -363,13 +326,15 @@ class RoutingSession:
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Release the pinned blocks and refuse further served queries.
+        """Refuse further served queries; a private store's oracle is cleared.
 
-        Idempotent; the store keeps the graph instance for future sessions.
+        Clearing closes the oracle's cold-tier file and drops its block pool.
+        A shared store keeps its instance, rows and pool for future sessions.
+        Idempotent.
         """
         self._closed = True
-        self._pinned = []
-        self._pinned_rows = {}
+        if self._store is not None:
+            self._oracle.clear()
 
     def __enter__(self) -> "RoutingSession":
         return self

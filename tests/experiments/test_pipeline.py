@@ -30,6 +30,7 @@ from repro.experiments.runner import (
 )
 from repro.graphs import generators
 from repro.graphs.oracle import DistanceOracle
+from repro.graphs.store import GraphStore
 
 TINY = ExperimentConfig(sizes=[48, 96], num_pairs=3, trials=3, seed=7)
 
@@ -83,7 +84,7 @@ class TestOnlyFiltering:
 class TestOracleReuse:
     def test_one_oracle_per_cell_and_cache_hits(self):
         factory = _RecordingFactory()
-        exp_ball_scheme.run_cell(TINY, "ring", 96, oracle_factory=factory)
+        exp_ball_scheme.run_cell(TINY, "ring", 96, store=GraphStore(oracle_factory=factory))
         assert len(factory.oracles) == 1
         assert factory.oracles[0].hits > 0
 
@@ -92,7 +93,7 @@ class TestOracleReuse:
         fewer BFS computations than the seed's one-private-oracle-per-scheme
         layout on the identical workload."""
         factory = _RecordingFactory()
-        exp_ball_scheme.run_cell(TINY, "ring", 96, oracle_factory=factory)
+        exp_ball_scheme.run_cell(TINY, "ring", 96, store=GraphStore(oracle_factory=factory))
         shared_misses = factory.total_misses
         assert len(factory.oracles) == 1
 
@@ -138,7 +139,10 @@ class TestOracleReuse:
             monkeypatch.setattr(oracle_module, name, counted)
         factory = _RecordingFactory()
         exp_kleinberg.run_cell(
-            TINY, exp_kleinberg.SENSITIVITY_FAMILY, max(TINY.sizes), oracle_factory=factory
+            TINY,
+            exp_kleinberg.SENSITIVITY_FAMILY,
+            max(TINY.sizes),
+            store=GraphStore(oracle_factory=factory),
         )
         (oracle,) = factory.oracles
         assert len(rows) == oracle.misses > 0
@@ -146,7 +150,7 @@ class TestOracleReuse:
 
     def test_full_quick_sweep_reuses_bfs(self):
         factory = _RecordingFactory()
-        run_all(TINY, jobs=1, oracle_factory=factory, stats={})
+        run_all(TINY, jobs=1, store=GraphStore(oracle_factory=factory), stats={})
         total_cells = sum(len(m.cell_keys(TINY)) for m in EXPERIMENT_MODULES)
         # The run-wide GraphStore shares instances across experiments, so
         # strictly fewer oracles exist than cells — and the shared oracles

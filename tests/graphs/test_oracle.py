@@ -422,7 +422,7 @@ class TestNextLocalAccounting:
 
 
 class TestRoutingBlocksReuse:
-    """routing_blocks refills a preallocated buffer pair instead of stacking."""
+    """routing_blocks serves rows out of one append-only per-target pool."""
 
     def _reference_blocks(self, graph, targets):
         from repro.graphs.oracle import FAR_DISTANCE
@@ -435,46 +435,84 @@ class TestRoutingBlocksReuse:
         nl = np.stack([ref.next_local_to(t) for t in targets])
         return dist, nl
 
+    def _assert_rows_match(self, graph, blocks, targets):
+        dist_block, nl_block, rows = blocks
+        ref_dist, ref_nl = self._reference_blocks(graph, targets)
+        np.testing.assert_array_equal(dist_block[rows], ref_dist)
+        np.testing.assert_array_equal(nl_block[rows], ref_nl)
+
     def test_content_matches_reference(self, grid4x4):
         oracle = DistanceOracle(grid4x4)
         targets = (3, 9, 12)
-        dist_block, nl_block = oracle.routing_blocks(targets)
-        ref_dist, ref_nl = self._reference_blocks(grid4x4, targets)
-        np.testing.assert_array_equal(dist_block, ref_dist)
-        np.testing.assert_array_equal(nl_block, ref_nl)
+        blocks = oracle.routing_blocks(targets)
+        self._assert_rows_match(grid4x4, blocks, targets)
+        dist_block, nl_block, _ = blocks
         assert not dist_block.flags.writeable and not nl_block.flags.writeable
+        with pytest.raises(ValueError):
+            dist_block[0, 0] = 1
 
-    def test_same_tuple_returns_same_views(self, grid4x4):
+    def test_rows_map_duplicate_and_unsorted_targets(self, grid4x4):
         oracle = DistanceOracle(grid4x4)
-        a = oracle.routing_blocks((1, 5))
-        b = oracle.routing_blocks((1, 5))
-        assert a[0] is b[0] and a[1] is b[1]
+        targets = (12, 3, 12, 9, 3)
+        blocks = oracle.routing_blocks(targets)
+        assert blocks[2].tolist() == [2, 0, 2, 1, 0]
+        assert oracle.block_targets == (3, 9, 12)  # one row each, sorted
+        self._assert_rows_match(grid4x4, blocks, targets)
 
-    def test_new_tuple_reuses_storage_and_refills_changed_rows_only(self, grid4x4):
+    def test_repeat_call_makes_no_cache_traffic(self, grid4x4):
         oracle = DistanceOracle(grid4x4)
-        first = oracle.routing_blocks((2, 7))
-        base_dist = first[0].base if first[0].base is not None else first[0]
+        first = oracle.routing_blocks((1, 5))
+        traffic = (oracle.hits, oracle.misses)
+        again = oracle.routing_blocks((5, 1, 5))
+        assert (oracle.hits, oracle.misses) == traffic
+        assert again[0].base is first[0].base  # same pool buffer, no re-stack
+        assert again[2].tolist() == [1, 0, 1]
+
+    def test_new_target_costs_one_miss_and_keeps_old_rows(self, grid4x4):
+        oracle = DistanceOracle(grid4x4)
+        first = [block.copy() for block in oracle.routing_blocks((2, 7))[:2]]
         hits_before, misses_before = oracle.hits, oracle.misses
-        second = oracle.routing_blocks((2, 11))  # row 0 unchanged, row 1 new
-        base_after = second[0].base if second[0].base is not None else second[0]
-        assert base_after is base_dist  # same backing buffer, no re-stack
+        second = oracle.routing_blocks((2, 11))
         # Only the new target cost anything: one BFS, and two accounted
-        # reads of its fresh array (hop-table build + row copy).  The
-        # unchanged row 0 produced zero cache traffic.
+        # reads of its fresh array (hop-table build + row copy).  The pooled
+        # target 2 produced zero cache traffic.
         assert oracle.misses == misses_before + 1
         assert oracle.hits == hits_before + 2
-        ref_dist, ref_nl = self._reference_blocks(grid4x4, (2, 11))
-        np.testing.assert_array_equal(second[0], ref_dist)
-        np.testing.assert_array_equal(second[1], ref_nl)
+        assert oracle.block_targets == (2, 7, 11)
+        np.testing.assert_array_equal(second[0][:2], first[0])
+        np.testing.assert_array_equal(second[1][:2], first[1])
+        self._assert_rows_match(grid4x4, second, (2, 11))
 
-    def test_rebuild_for_longer_tuple_grows(self, grid4x4):
+    def test_growth_keeps_every_row(self, grid4x4):
         oracle = DistanceOracle(grid4x4)
         oracle.routing_blocks((1,))
-        dist_block, nl_block = oracle.routing_blocks((1, 2, 3))
-        assert dist_block.shape == (3, grid4x4.num_nodes)
-        ref_dist, ref_nl = self._reference_blocks(grid4x4, (1, 2, 3))
-        np.testing.assert_array_equal(dist_block, ref_dist)
-        np.testing.assert_array_equal(nl_block, ref_nl)
+        oracle.routing_blocks((2, 3))
+        blocks = oracle.routing_blocks((4, 5, 6, 7, 8))
+        assert blocks[0].shape == (8, grid4x4.num_nodes)
+        assert oracle.block_targets == tuple(range(1, 9))
+        everything = oracle.routing_blocks(range(1, 9))
+        assert everything[2].tolist() == list(range(8))
+        self._assert_rows_match(grid4x4, everything, tuple(range(1, 9)))
+
+    def test_pool_resets_at_capacity(self, grid4x4, monkeypatch):
+        import repro.graphs.oracle as oracle_module
+
+        monkeypatch.setattr(oracle_module, "_MAX_BLOCK_TARGETS", 4)
+        oracle = DistanceOracle(grid4x4)
+        oracle.routing_blocks((1, 2))
+        oracle.routing_blocks((3, 4))
+        assert oracle.block_resets == 0 and oracle.block_targets == (1, 2, 3, 4)
+        blocks = oracle.routing_blocks((5, 2))  # a fifth distinct target
+        assert oracle.block_resets == 1
+        assert oracle.block_targets == (2, 5)  # this call's targets only
+        self._assert_rows_match(grid4x4, blocks, (5, 2))
+
+    @pytest.mark.parametrize("bad", [(16,), (-1,), (0, 16)])
+    def test_out_of_range_targets_raise(self, grid4x4, bad):
+        oracle = DistanceOracle(grid4x4)
+        with pytest.raises(ValueError, match="out of range"):
+            oracle.routing_blocks(bad)
+        assert oracle.block_targets == ()
 
     def test_unreachable_masked_with_sentinel(self):
         from repro.graphs.graph import Graph
@@ -482,15 +520,17 @@ class TestRoutingBlocksReuse:
 
         g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
         oracle = DistanceOracle(g)
-        dist_block, _ = oracle.routing_blocks((0,))
+        dist_block, _, _ = oracle.routing_blocks((0,))
         assert dist_block[0, 3] == FAR_DISTANCE and dist_block[0, 4] == FAR_DISTANCE
         assert dist_block[0, 2] == 2
 
-    def test_clear_drops_storage(self, cycle12):
+    def test_clear_drops_the_pool(self, cycle12):
         oracle = DistanceOracle(cycle12)
         first = oracle.routing_blocks((1, 2))
         oracle.clear()
-        second = oracle.routing_blocks((1, 2))
-        ref_dist, _ = self._reference_blocks(cycle12, (1, 2))
-        np.testing.assert_array_equal(second[0], ref_dist)
-        assert first[0] is not second[0]
+        assert oracle.block_targets == ()
+        assert oracle.memory_stats()["block_bytes"] == 0
+        second = oracle.routing_blocks((2, 1))
+        assert oracle.block_targets == (1, 2)
+        assert second[0].base is not first[0].base
+        self._assert_rows_match(cycle12, second, (2, 1))

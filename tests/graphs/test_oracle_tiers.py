@@ -108,11 +108,21 @@ class TestSpillAndPromotion:
         budget = 8 * row_bytes(cycle) + 4 * 2 * cycle.num_nodes * 8
         oracle = DistanceOracle(cycle, max_bytes=budget)
         loose = DistanceOracle(cycle)
-        d1, n1 = oracle.routing_blocks((1, 9, 17, 33))
-        d2, n2 = loose.routing_blocks((1, 9, 17, 33))
+        d1, n1, _ = oracle.routing_blocks((1, 9, 17, 33))
+        d2, n2, _ = loose.routing_blocks((1, 9, 17, 33))
         np.testing.assert_array_equal(d1, d2)
         np.testing.assert_array_equal(n1, n2)
         assert oracle.resident_bytes() <= budget
+
+    def test_block_pool_starts_over_at_the_budget(self, cycle):
+        pool_bytes = 4 * 2 * cycle.num_nodes * 8  # four pooled targets
+        budget = pool_bytes + 2 * row_bytes(cycle)
+        oracle = DistanceOracle(cycle, max_bytes=budget)
+        for first in range(0, 24, 2):
+            oracle.routing_blocks((first, first + 1))
+            assert oracle.memory_stats()["block_bytes"] <= pool_bytes
+            assert oracle.resident_bytes() <= budget
+        assert oracle.block_resets == 5  # 12 calls of 2 targets, 4 per pool
 
 
 class TestExportWithColdTier:

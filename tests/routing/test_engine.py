@@ -377,37 +377,3 @@ class TestLaneSeedsMode:
                 cycle12, scheme, [(0, 6)], trials=2,
                 lane_seeds=np.array([1], dtype=np.uint64),
             )
-
-
-class TestInjectedBlocks:
-    def test_blocks_match_oracle_path(self, cycle12):
-        scheme = UniformScheme(cycle12, seed=0)
-        oracle = DistanceOracle(cycle12)
-        pairs = [(0, 6), (1, 9), (3, 6)]
-        seeds = np.array([5, 6, 7], dtype=np.uint64)
-        via_oracle = route_lanes(
-            cycle12, scheme, pairs, trials=1, oracle=oracle, lane_seeds=seeds
-        )
-        dist, next_local = oracle.routing_blocks((6, 9))
-        rows = np.array([0, 1, 0], dtype=np.int64)
-        via_blocks = route_lanes(
-            cycle12, scheme, pairs, trials=1, oracle=oracle,
-            lane_seeds=seeds, blocks=(dist, next_local, rows),
-        )
-        np.testing.assert_array_equal(via_oracle.steps, via_blocks.steps)
-        np.testing.assert_array_equal(via_oracle.long_links, via_blocks.long_links)
-
-    def test_bad_pair_rows_rejected(self, cycle12):
-        scheme = UniformScheme(cycle12, seed=0)
-        oracle = DistanceOracle(cycle12)
-        dist, next_local = oracle.routing_blocks((6,))
-        with pytest.raises(ValueError, match="pair_rows"):
-            route_lanes(
-                cycle12, scheme, [(0, 6), (1, 6)], trials=1, lane_seeds=_seeds(2),
-                blocks=(dist, next_local, np.array([0], dtype=np.int64)),
-            )
-        with pytest.raises(ValueError, match="row"):
-            route_lanes(
-                cycle12, scheme, [(0, 6)], trials=1, lane_seeds=_seeds(1),
-                blocks=(dist, next_local, np.array([3], dtype=np.int64)),
-            )

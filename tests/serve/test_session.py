@@ -96,9 +96,11 @@ class TestRouteQueries:
             assert set(info["warmed_targets"]) == {50, 60}
             assert info["block_resets"] == 0
 
-    def test_block_cache_resets_at_capacity(self):
+    def test_block_cache_resets_at_capacity(self, monkeypatch):
+        import repro.graphs.oracle as oracle_module
+
+        monkeypatch.setattr(oracle_module, "_MAX_BLOCK_TARGETS", 4)
         with open_session(_FAMILY, _N, seed=_SEED, scheme="uniform") as session:
-            session._max_block_targets = 4
             for target in (10, 20, 30, 40):
                 session.route_queries([(1, target, 1)])
             assert session.info()["block_resets"] == 0
@@ -106,6 +108,33 @@ class TestRouteQueries:
             assert session.info()["block_resets"] == 1
             # Post-reset queries still answer correctly.
             assert session.route(1, 20).ok
+
+
+class TestSweepAndServeShareThePool:
+    def test_session_routes_on_blocks_a_sweep_built(self, monkeypatch):
+        import repro.graphs.oracle as oracle_module
+        from repro.core.uniform import UniformScheme
+        from repro.graphs import generators
+        from repro.graphs.oracle import DistanceOracle
+        from repro.routing.simulator import estimate_expected_steps
+
+        graph = generators.cycle_graph(_N)
+        oracle = DistanceOracle(graph)
+        scheme = UniformScheme(graph, seed=1)
+        pairs = [(0, 48), (3, 70), (11, 48)]
+        estimate_expected_steps(graph, scheme, pairs, trials=4, seed=2, oracle=oracle)
+        pooled = oracle.block_targets
+
+        def no_bfs(*args, **kwargs):
+            raise AssertionError("a served query ran a BFS")
+
+        for name in ("bfs_distances_many", "frontier_bfs", "frontier_bfs_tree"):
+            monkeypatch.setattr(oracle_module, name, no_bfs)
+        session = RoutingSession(graph, scheme, oracle)
+        outcomes = session.route_queries([(s, t, session.query_seed(s, t)) for s, t in pairs])
+        assert all(outcome.ok for outcome in outcomes)
+        assert {48, 70} <= set(session.warmed_targets)
+        assert oracle.block_targets == pooled
 
 
 class TestRouteMany:
@@ -204,6 +233,41 @@ class TestClose:
         session.close()
         with pytest.raises(RuntimeError, match="closed"):
             session.route(0, 10)
+
+    def test_private_session_close_releases_the_cold_tier(self):
+        import gc
+
+        gc.collect()  # earlier garbage must not warn inside the block below
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            session = open_session("torus2d", 1024, seed=_SEED, oracle_max_bytes=64 * 1024)
+            n = session.graph.num_nodes
+            pairs = np.random.default_rng(0).integers(0, n, size=(8, 2))
+            session.route_queries([(int(s), int(t), session.query_seed(s, t)) for s, t in pairs])
+            spilled = session.oracle.memory_stats()["cold_entries"]
+            session.close()
+            after = session.oracle.memory_stats()["cold_entries"]
+            del session
+            gc.collect()
+        assert spilled > 0
+        assert after == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_shared_store_session_close_keeps_the_rows(self):
+        from repro.graphs.store import GraphStore
+
+        store = GraphStore()
+        with open_session(_FAMILY, _N, seed=_SEED, store=store) as session:
+            session.route(2, 70)
+            oracle = session.oracle
+        rows = oracle.cache_size()
+        assert rows > 0 and 70 in oracle.block_targets
+        with open_session(_FAMILY, _N, seed=_SEED, store=store) as again:
+            assert again.oracle is oracle
+            misses = oracle.misses
+            assert again.route(3, 70).ok
+            assert oracle.misses == misses
+        assert oracle.cache_size() >= rows
 
 
 def test_public_surface_exports():
