@@ -42,7 +42,7 @@ import numpy as np
 from bench_recording import append_record
 from repro.core.uniform import UniformScheme
 from repro.graphs import generators, kernels
-from repro.graphs.oracle import DistanceOracle
+from repro.graphs.oracle import DistanceOracle, next_local_pointers, next_local_pointers_many
 from repro.routing.simulator import estimate_expected_steps
 
 _NUM_PAIRS = 64
@@ -148,15 +148,16 @@ def test_lane_engine_high_diameter():
 
 
 def test_next_local_many_speedup():
-    """Batched multi-target hop-table builder vs the per-target loop.
+    """Batched multi-target hop-table builder vs the per-target reference pass.
 
-    Measures building the ``num_pairs``-target ``next_local`` block on grids
-    under both APIs, starting from oracles whose *distance* rows are already
-    warm — the exact state ``routing_blocks`` sees after the pair sampler has
-    run, and the state the per-target loop historically ran in (its argmin
-    pass reused ``distances_to_many`` blocks).  Cold (fresh-oracle) timings
-    are recorded alongside for transparency: there the batched call also
-    swallows one batched BFS where the loop pays ``k`` single sweeps.
+    Times both builders on one warm ``num_pairs``-target distance block on
+    grids: :func:`next_local_pointers` once per row (its slot-owner map
+    built once for the whole block) against one
+    :func:`next_local_pointers_many` pass — the pass ``routing_blocks`` runs
+    over its fresh targets.  Cold (fresh-oracle) timings are recorded
+    alongside for transparency: ``next_local_to_many([t])`` per target, one
+    single-target BFS each, against one ``next_local_to_many(targets)``
+    call, which swallows one batched BFS.
 
     Exact equality of the tables is asserted here as well — a speedup from a
     wrong table would be worthless.
@@ -167,36 +168,29 @@ def test_next_local_many_speedup():
         graph = generators.grid_graph([side, side])
         n = graph.num_nodes
         targets = sorted({t for (_, t) in _pairs(n)})
-
-        def _warm_oracle():
-            oracle = DistanceOracle(graph)
-            oracle.prefetch(targets)
-            oracle.distances_to_many(targets)
-            return oracle
+        dist_block = DistanceOracle(graph).distances_to_many(targets)
 
         # Untimed allocator warm-up: the first batched pass on a fresh
-        # process faults in tens of MB of fresh pages (block stacks, the
-        # transposed composite buffers), which is a one-off cost the sweep
-        # pipeline never pays per estimate.  Both timed paths below then
-        # measure the steady state.
-        _warm_oracle().next_local_to_many(targets)
+        # process faults in tens of MB of fresh pages (the transposed
+        # composite buffers), which is a one-off cost the sweep pipeline
+        # never pays per estimate.  Both timed paths below then measure the
+        # steady state.
+        next_local_pointers_many(graph, dist_block)
 
-        # Best-of-3 on fresh warm oracles: the build is memoised, so each
-        # repetition needs its own oracle, and min() sheds allocator noise.
+        # Best-of-3: min() sheds allocator noise.
         loop_warm = float("inf")
         loop_tables = None
         for _ in range(3):
-            oracle = _warm_oracle()
             t0 = time.perf_counter()
-            tables = [oracle.next_local_to(t) for t in targets]
+            slot_owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+            tables = [next_local_pointers(graph, row, slot_owner=slot_owner) for row in dist_block]
             loop_warm = min(loop_warm, time.perf_counter() - t0)
             loop_tables = tables
         many_warm = float("inf")
         many_block = None
         for _ in range(3):
-            oracle = _warm_oracle()
             t0 = time.perf_counter()
-            block = oracle.next_local_to_many(targets)
+            block = next_local_pointers_many(graph, dist_block)
             many_warm = min(many_warm, time.perf_counter() - t0)
             many_block = block
 
@@ -206,7 +200,7 @@ def test_next_local_many_speedup():
         t0 = time.perf_counter()
         cold_loop_oracle = DistanceOracle(graph)
         for t in targets:
-            cold_loop_oracle.next_local_to(t)
+            cold_loop_oracle.next_local_to_many([t])
         loop_cold = time.perf_counter() - t0
         t0 = time.perf_counter()
         DistanceOracle(graph).next_local_to_many(targets)

@@ -56,7 +56,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.graphs import generators
 from repro.graphs.store import GraphStore
 
-__all__ = ["EXPERIMENT_ID", "TITLE", "PAPER_CLAIM", "cell_keys", "run_cell", "assemble", "run", "main"]
+__all__ = ["EXPERIMENT_ID", "TITLE", "PAPER_CLAIM", "cell_keys", "run_cell", "assemble", "run"]
 
 EXPERIMENT_ID = "EXP-8"
 TITLE = "Ablation: the ball scheme's uniform level mixture (extension)"
@@ -154,11 +154,3 @@ def assemble(
 def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     """Run the ablation sweep on rings and return the structured result."""
     return run_experiment(sys.modules[__name__], config)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run(ExperimentConfig.full()).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -44,7 +44,7 @@ from repro.experiments.common import (
 from repro.experiments.config import ExperimentConfig
 from repro.graphs.store import GraphStore
 
-__all__ = ["EXPERIMENT_ID", "TITLE", "PAPER_CLAIM", "cell_keys", "run_cell", "assemble", "run", "main"]
+__all__ = ["EXPERIMENT_ID", "TITLE", "PAPER_CLAIM", "cell_keys", "run_cell", "assemble", "run"]
 
 EXPERIMENT_ID = "EXP-6"
 TITLE = "Theorem 4: ball scheme achieves ~n^(1/3) greedy diameter"
@@ -130,11 +130,3 @@ def assemble(
 def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     """Run the sweep and return the structured result."""
     return run_experiment(sys.modules[__name__], config)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run(ExperimentConfig.full()).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

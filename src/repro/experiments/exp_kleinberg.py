@@ -50,7 +50,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.graphs import generators
 from repro.graphs.store import GraphStore
 
-__all__ = ["EXPERIMENT_ID", "TITLE", "PAPER_CLAIM", "cell_keys", "run_cell", "assemble", "run", "main"]
+__all__ = ["EXPERIMENT_ID", "TITLE", "PAPER_CLAIM", "cell_keys", "run_cell", "assemble", "run"]
 
 EXPERIMENT_ID = "EXP-7"
 TITLE = "Kleinberg harmonic scheme on the 2-D torus (routing-engine calibration)"
@@ -183,11 +183,3 @@ def assemble(
 def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     """Run the sweep and return the structured result."""
     return run_experiment(sys.modules[__name__], config)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run(ExperimentConfig.full()).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

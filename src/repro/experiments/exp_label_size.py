@@ -58,7 +58,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.graphs.store import GraphStore
 from repro.graphs import generators
 
-__all__ = ["EXPERIMENT_ID", "TITLE", "PAPER_CLAIM", "cell_keys", "run_cell", "assemble", "run", "main"]
+__all__ = ["EXPERIMENT_ID", "TITLE", "PAPER_CLAIM", "cell_keys", "run_cell", "assemble", "run"]
 
 EXPERIMENT_ID = "EXP-5"
 TITLE = "Theorem 3: small label spaces force polynomial greedy diameter on the path"
@@ -180,11 +180,3 @@ def assemble(
 def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     """Run the sweep and return the structured result."""
     return run_experiment(sys.modules[__name__], config)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run(ExperimentConfig.full()).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

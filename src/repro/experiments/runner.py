@@ -15,7 +15,7 @@ into an explicit pipeline:
    of the run (instances are keyed ``(family, n, instance_seed)`` with no
    experiment id), so the second and later experiments over a given instance
    perform zero graph builds and zero repeat BFS sweeps — with
-   ``graph_cache`` the store also spills its BFS/``next_local`` arrays to
+   ``graph_cache`` the store also spills its BFS distance rows to
    fingerprint-checked raw ``.spill`` files (memory-mapped on reload) that
    pool the work across worker processes and across runs,
 3. each computed cell is persisted as a JSON
@@ -466,7 +466,7 @@ def run_all(
         Skip cells whose artifact already exists (requires ``artifacts_dir``);
         the report is assembled from the mix of loaded and fresh cells.
     graph_cache:
-        Directory for the GraphStore's BFS/next_local ``.spill`` files
+        Directory for the GraphStore's BFS distance-row ``.spill`` files
         (shares instances across worker processes and across separate runs).
     store:
         Explicit :class:`~repro.graphs.store.GraphStore` shared across the
@@ -564,35 +564,3 @@ def render_markdown(results: Dict[str, ExperimentResult]) -> str:
         if exp_id in results:
             parts.append(results[exp_id].to_markdown())
     return "\n\n".join(parts)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import argparse
-
-    parser = argparse.ArgumentParser(description="Run the reproduction experiments")
-    parser.add_argument("--quick", action="store_true", help="use the small benchmark configuration")
-    parser.add_argument("--only", nargs="*", help="experiment ids to run (e.g. EXP-6)")
-    parser.add_argument("--markdown", action="store_true", help="emit Markdown instead of text")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for the cell sweep")
-    parser.add_argument("--out", help="directory for per-cell JSON artifacts")
-    parser.add_argument(
-        "--resume", action="store_true", help="skip cells whose artifact already exists in --out"
-    )
-    parser.add_argument("--graph-cache", help="directory for the GraphStore's BFS spill files")
-    args = parser.parse_args()
-    config = ExperimentConfig.quick() if args.quick else ExperimentConfig.full()
-    results = run_all(
-        config,
-        only=args.only,
-        verbose=not args.markdown,
-        jobs=args.jobs,
-        artifacts_dir=args.out,
-        resume=args.resume,
-        graph_cache=args.graph_cache,
-    )
-    if args.markdown:
-        print(render_markdown(results))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

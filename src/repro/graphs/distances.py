@@ -117,9 +117,7 @@ def bfs_tree(graph: Graph, source: int) -> Tuple[np.ndarray, np.ndarray]:
     Runs on the vectorized frontier engine
     (:func:`repro.graphs.frontier.frontier_bfs_tree`), whose first-occurrence
     dedup reproduces the classic queue traversal's parent assignment bitwise
-    (the property tests compare against :func:`legacy_bfs_tree`).  The routing
-    engine uses these parents as ready-made ``next_local`` pointers on trees,
-    where each node's improving neighbour is unique.
+    (the property tests compare against :func:`legacy_bfs_tree`).
     """
     return frontier_bfs_tree(graph, source)
 

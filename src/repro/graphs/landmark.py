@@ -14,12 +14,12 @@ shortest ``u``–``t`` path passes through a pivot — in particular whenever
 the per-source distance surface from "one full-graph BFS per query" into
 "one tiny min-plus reduction per query".
 
-The *exact tier* is untouched: :meth:`distances_from`, the ``next_local``
-hop tables and :meth:`routing_blocks` are inherited from
-:class:`~repro.graphs.oracle.DistanceOracle` verbatim, because greedy
-routing's strict-``<`` next-hop comparisons need genuine BFS rows — the
-sketch serves estimates (the distance-based schemes' shells, extremal-pair
-sampling, reporting stats), never trajectories.
+The *exact tier* is untouched: :meth:`distances_from` and
+:meth:`routing_blocks` (with the ``next_local`` hop tables its pool holds)
+are inherited from :class:`~repro.graphs.oracle.DistanceOracle` verbatim,
+because greedy routing's strict-``<`` next-hop comparisons need genuine BFS
+rows — the sketch serves estimates (the distance-based schemes' shells,
+extremal-pair sampling, reporting stats), never trajectories.
 
 Pivot selection is deterministic in the construction ``seed`` (callers pass
 the instance seed): the first pivot is degree-weighted, the rest follow the
@@ -73,8 +73,8 @@ class LandmarkOracle(DistanceOracle):
         is benched as ``approx_distance`` rows in ``BENCH_routing.json``.
     seed:
         Drives pivot selection deterministically (pass the instance seed).
-    max_bytes, cold_dir:
-        Inherited exact-tier cache knobs (see :class:`DistanceOracle`).
+    max_bytes:
+        Inherited exact-tier byte budget (see :class:`DistanceOracle`).
     """
 
     def __init__(
@@ -84,11 +84,10 @@ class LandmarkOracle(DistanceOracle):
         num_landmarks: int = DEFAULT_NUM_LANDMARKS,
         seed: int = 0,
         max_bytes: Optional[int] = None,
-        cold_dir: Optional[str] = None,
     ) -> None:
         if num_landmarks < 1:
             raise ValueError("num_landmarks must be at least 1")
-        super().__init__(graph, max_bytes=max_bytes, cold_dir=cold_dir)
+        super().__init__(graph, max_bytes=max_bytes)
         self._num_landmarks = int(num_landmarks)
         self._landmark_seed = int(seed)
         #: Pivot node ids (selection order); ``None`` until the lazy build.

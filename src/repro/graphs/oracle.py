@@ -18,35 +18,31 @@ decomposition-local oracle in ``repro.decomposition.bags``).  The
 * the distance-based schemes (Theorem 4's balls, Kleinberg's distance
   power) read their shells off the cached rows through the query tier and
   keep no copies of their own (:mod:`repro.graphs.balls`),
-* :meth:`next_local_to` serves the lane routing engine's per-target
-  ``next_local`` pointer tables: for every node, its best *local* next hop
-  towards the target (first CSR-order neighbour at minimum distance, the
-  exact candidate :func:`repro.routing.greedy.greedy_route` would scan to).
-  Computed with one vectorized CSR segment-argmin pass over the cached
-  distance array — or read straight off the BFS parent pointers on trees,
-  where the improving neighbour is unique — and memoised alongside the
-  distance arrays,
-* :meth:`next_local_to_many` builds the tables for a whole batch of targets
-  in **one** transposed composite-key pass over the stacked distance block
-  (see :func:`next_local_pointers_many`), which is what erases the lane
-  engine's per-cell cold start: the first scheme of a cell no longer pays
-  one Python round-trip per target,
 * :meth:`routing_blocks` serves the lane engine's per-target blocks out of
   one append-only pool per oracle — a target gets a row the first time any
   caller routes to it and keeps it, so sweeps, ``repro route`` and served
-  queries all look pooled targets up one at a time and never re-stack,
-* :meth:`export_state` / :meth:`absorb_state` round-trip the cached arrays
-  as plain numpy blocks so the :class:`~repro.graphs.store.GraphStore` can
-  spill a warmed oracle to disk and rebuild it in another process without a
-  single repeated BFS.
+  queries all look pooled targets up one at a time and never re-stack.  A
+  pooled row pairs the target's distance array with its ``next_local`` hop
+  table: for every node, its best *local* next hop towards the target
+  (first CSR-order neighbour at minimum distance, the exact candidate
+  :func:`repro.routing.greedy.greedy_route` would scan to).  The pool is the
+  only place hop tables live; the fresh targets of a call get theirs from
+  **one** transposed composite-key pass over their stacked distance rows
+  (:func:`next_local_pointers_many`), and :meth:`next_local_to_many` reads
+  them back out of the pool,
+* :meth:`export_state` / :meth:`absorb_state` round-trip the cached distance
+  rows as plain numpy blocks so the :class:`~repro.graphs.store.GraphStore`
+  can spill a warmed oracle to disk and rebuild it in another process without
+  a single repeated BFS (hop tables are re-derived from the absorbed rows).
 
 **Memory tiers.**  ``max_bytes=`` turns the oracle into a byte-budgeted
-two-tier cache: the least-recently-used rows of the dense hot tier are
-*spilled* to an anonymous memory-mapped backing file (the cold tier) instead
-of being dropped, and promoted back on access — an accounted cache hit, so
-``--stats`` hit rates stay exact.  Rows absorbed from a
-:class:`~repro.graphs.store.GraphStore` spill with ``copy=False`` stay
-memmap-backed views of the (page-shared, read-only) spill file and are
+two-tier cache: the least-recently-used distance rows of the dense hot tier
+are *spilled* to an anonymous memory-mapped backing file (the cold tier)
+instead of being dropped, and promoted back on access — an accounted cache
+hit, so ``--stats`` hit rates stay exact.  The routing-block pool counts
+against the same budget and may take at most half of it.  Rows absorbed
+from a :class:`~repro.graphs.store.GraphStore` spill with ``copy=False``
+stay memmap-backed views of the (page-shared, read-only) spill file and are
 exempt from the budget — the kernel reclaims those pages on its own.
 :meth:`resident_bytes` and :meth:`memory_stats` expose what the budget
 actually bounds.
@@ -58,6 +54,7 @@ are the same array; both spellings exist so call sites read naturally.
 from __future__ import annotations
 
 import tempfile
+import weakref
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -69,8 +66,10 @@ from repro.graphs.frontier import (
     bfs_distances_many,
     bfs_dtype,
     frontier_bfs,
-    frontier_bfs_tree,
 )
+# Not called here: perfbench/tracer.py wraps this module's ``frontier_bfs_tree``
+# as its ``frontier.frontier_bfs_tree`` span, which should count zero calls.
+from repro.graphs.frontier import frontier_bfs_tree  # noqa: F401
 from repro.graphs.graph import Graph
 from repro.utils.validation import check_node_index
 
@@ -117,7 +116,7 @@ def next_local_pointers(
     (neighbours all ``UNREACHABLE``) match no slot and keep ``-1``.
 
     *slot_owner* is the CSR slot-to-node map ``repeat(arange(n), degrees)``;
-    pass a precomputed one (the oracle caches it) to skip rebuilding it.
+    pass a precomputed one to skip rebuilding it for every row.
     """
     n = graph.num_nodes
     indptr = graph.indptr
@@ -224,8 +223,9 @@ def next_local_pointers_many(
     if padded is None:
         padded = padded_adjacency(graph)
     if padded is None:  # hub-dominated: padding rejected, use the reference pass
+        slot_owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
         for r in range(k):
-            out[r] = next_local_pointers(graph, dist_block[r])
+            out[r] = next_local_pointers(graph, dist_block[r], slot_owner=slot_owner)
         return out
     padT, degrees = padded
     max_d = int(dist_block.max())
@@ -264,22 +264,21 @@ def next_local_pointers_many(
 class _ColdTier:
     """Slot-allocated row spill over an anonymous memory-mapped temp file.
 
-    Rows evicted from the oracle's hot tier are written to slots of a
-    :func:`tempfile.TemporaryFile`-backed :class:`numpy.memmap` — the OS
-    pages them out under memory pressure and reclaims the file when the
-    tier is closed (or the process dies).  One tier holds both row kinds
-    (``"d"`` distance rows, ``"l"`` hop tables): they share the row length
-    ``n`` and the oracle dtype.  The file grows by doubling; freed slots
-    are recycled.
+    Distance rows evicted from the oracle's hot tier are written to slots of
+    a :func:`tempfile.TemporaryFile`-backed :class:`numpy.memmap`, keyed by
+    their source — the OS pages them out under memory pressure and reclaims
+    the file when the tier is closed, dropped (a finalizer closes it) or the
+    process dies.  The file grows by doubling; freed slots are recycled.
     """
 
-    def __init__(self, row_len: int, dtype: np.dtype, dir: Optional[str] = None) -> None:
+    def __init__(self, row_len: int, dtype: np.dtype) -> None:
         self._row_len = int(row_len)
         self._dtype = np.dtype(dtype)
-        self._file = tempfile.TemporaryFile(dir=dir, prefix="oracle-cold-")
+        self._file = tempfile.TemporaryFile(prefix="oracle-cold-")
+        self._close_file = weakref.finalize(self, self._file.close)
         self._mm: Optional[np.memmap] = None
         self._capacity = 0
-        self._slots: Dict[tuple, int] = {}
+        self._slots: Dict[int, int] = {}
         self._free: list = []
         self._next = 0
 
@@ -291,8 +290,8 @@ class _ColdTier:
         """Logical bytes held (occupied slots × row size), not file size."""
         return len(self._slots) * self._row_len * self._dtype.itemsize
 
-    def has(self, kind: str, key: int) -> bool:
-        return (kind, key) in self._slots
+    def has(self, key: int) -> bool:
+        return key in self._slots
 
     def _grow(self, min_rows: int) -> None:
         new_cap = max(min_rows, 2 * self._capacity, 8)
@@ -302,28 +301,28 @@ class _ColdTier:
         )
         self._capacity = new_cap
 
-    def put(self, kind: str, key: int, row: np.ndarray) -> None:
-        slot = self._slots.get((kind, key))
+    def put(self, key: int, row: np.ndarray) -> None:
+        slot = self._slots.get(key)
         if slot is None:
             if self._free:
                 slot = self._free.pop()
             else:
                 slot = self._next
                 self._next += 1
-            self._slots[(kind, key)] = slot
+            self._slots[key] = slot
         if slot >= self._capacity:
             self._grow(slot + 1)
         self._mm[slot] = row
 
-    def pop(self, kind: str, key: int) -> np.ndarray:
+    def pop(self, key: int) -> np.ndarray:
         """Remove and return a private (writable) copy of the stored row."""
-        slot = self._slots.pop((kind, key))
+        slot = self._slots.pop(key)
         self._free.append(slot)
         return np.array(self._mm[slot])
 
     def close(self) -> None:
         self._mm = None
-        self._file.close()
+        self._close_file()
 
 
 class DistanceOracle:
@@ -339,34 +338,22 @@ class DistanceOracle:
         The graph the oracle answers queries about.
     max_bytes:
         Optional byte budget over the dense resident state (hot rows plus
-        the :meth:`routing_blocks` backing buffers).  When crossed, the
-        globally least-recently-used hot row is *spilled* to the
+        the :meth:`routing_blocks` pool, which may take at most half of it).
+        When crossed, the least-recently-used hot row is *spilled* to the
         memory-mapped cold tier instead of dropped, and promoted back on
         access (an accounted hit).  Memmap-backed rows absorbed from a
         spill are budget-exempt.
-    cold_dir:
-        Directory for the cold tier's anonymous backing file (default: the
-        system temp dir).
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        *,
-        max_bytes: Optional[int] = None,
-        cold_dir: Optional[str] = None,
-    ) -> None:
+    def __init__(self, graph: Graph, *, max_bytes: Optional[int] = None) -> None:
         if max_bytes is not None and max_bytes < 1:
             raise ValueError("max_bytes must be at least 1 (or None for unbounded)")
         self._graph = graph
         self._max_bytes = max_bytes
-        self._cold_dir = cold_dir
         #: Uniform dtype of every cached row (int32 below 2**31 nodes).
         self._dtype = bfs_dtype(graph.num_nodes)
+        #: Hot distance rows, least recently used first.
         self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._next_local: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        #: CSR slot-to-node map, built lazily for next_local computations.
-        self._slot_owner: Optional[np.ndarray] = None
         #: Padded adjacency for the batched pointer pass (None = not built
         #: yet, False = this graph rejected padding — hub-dominated).
         self._padded = None
@@ -384,15 +371,10 @@ class DistanceOracle:
         self._cold_tier: Optional[_ColdTier] = None
         #: Bytes of dense (private, budget-counted) hot rows.
         self._hot_bytes = 0
-        #: ``(kind, key)`` of rows that are memmap views of a spill file —
-        #: page-shared with sibling processes, budget-exempt, never spilled.
+        #: Sources whose rows are memmap views of a spill file — page-shared
+        #: with sibling processes, budget-exempt, never spilled.
         self._mapped: set = set()
         self._mapped_bytes = 0
-        #: Global access clock for cross-cache (dist + hop) LRU eviction;
-        #: maintained only under a byte budget.
-        self._tick = 0
-        self._dist_tick: Dict[int, int] = {}
-        self._nl_tick: Dict[int, int] = {}
         self._cold_hits = 0
         self._cold_spills = 0
         self._cold_promotions = 0
@@ -459,14 +441,9 @@ class DistanceOracle:
         """Number of distance arrays currently cached."""
         return len(self._cache)
 
-    def next_local_cache_size(self) -> int:
-        """Number of ``next_local`` hop tables currently cached."""
-        return len(self._next_local)
-
     def clear(self) -> None:
         """Drop every cached array and the block pool (counters are kept)."""
         self._cache.clear()
-        self._next_local.clear()
         self._block_targets = []
         self._block_rows = {}
         self._block_storage = None
@@ -476,8 +453,6 @@ class DistanceOracle:
         self._hot_bytes = 0
         self._mapped.clear()
         self._mapped_bytes = 0
-        self._dist_tick.clear()
-        self._nl_tick.clear()
 
     # ------------------------------------------------------------------ #
     # Memory accounting
@@ -517,77 +492,40 @@ class DistanceOracle:
 
     def _cold(self) -> _ColdTier:
         if self._cold_tier is None:
-            self._cold_tier = _ColdTier(
-                self._graph.num_nodes, self._dtype, dir=self._cold_dir
-            )
+            self._cold_tier = _ColdTier(self._graph.num_nodes, self._dtype)
         return self._cold_tier
 
-    def _touch(self, kind: str, key: int) -> None:
-        """Stamp *key* as most-recently-used on the global access clock."""
-        if self._max_bytes is None:
-            return
-        self._tick += 1
-        (self._dist_tick if kind == "d" else self._nl_tick)[key] = self._tick
-
-    def _forget(self, kind: str, key: int, row: np.ndarray) -> None:
-        """Account for a row leaving the hot tier entirely (dropped)."""
-        (self._dist_tick if kind == "d" else self._nl_tick).pop(key, None)
-        if (kind, key) in self._mapped:
-            self._mapped.discard((kind, key))
-            self._mapped_bytes -= row.nbytes
-        else:
-            self._hot_bytes -= row.nbytes
-
-    def _evict_one(self) -> bool:
-        """Spill the globally least-recently-used unmapped hot row to cold."""
-        best = None
-        for key, tick in self._dist_tick.items():
-            if ("d", key) not in self._mapped and (best is None or tick < best[0]):
-                best = (tick, "d", key)
-        for key, tick in self._nl_tick.items():
-            if ("l", key) not in self._mapped and (best is None or tick < best[0]):
-                best = (tick, "l", key)
-        if best is None:
-            return False
-        _, kind, key = best
-        if kind == "d":
-            row = self._cache.pop(key)
-            del self._dist_tick[key]
-        else:
-            row = self._next_local.pop(key)
-            del self._nl_tick[key]
-        self._cold().put(kind, key, row)
-        self._hot_bytes -= row.nbytes
-        self._cold_spills += 1
-        return True
-
     def _enforce_budget(self) -> None:
+        """Spill least-recently-used unmapped hot rows until the budget holds.
+
+        Stops early when only one row is cached (the row a caller is about
+        to read) or when every cached row is a budget-exempt memmap view.
+        """
         if self._max_bytes is None:
             return
-        while (
-            self._hot_bytes + self._block_bytes() > self._max_bytes
-            and len(self._dist_tick) + len(self._nl_tick) > 1
-        ):
-            if not self._evict_one():
+        while self._hot_bytes + self._block_bytes() > self._max_bytes and len(self._cache) > 1:
+            source = next((s for s in self._cache if s not in self._mapped), None)
+            if source is None:
                 break
+            row = self._cache.pop(source)
+            self._cold().put(source, row)
+            self._hot_bytes -= row.nbytes
+            self._cold_spills += 1
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
 
     def _store(self, source: int, dist: np.ndarray, *, mapped: bool = False) -> None:
+        """Cache *dist* as the most recently used row of *source* (not yet cached)."""
         dist = np.asarray(dist, dtype=self._dtype)
         dist.setflags(write=False)
-        old = self._cache.pop(source, None)
-        if old is not None:
-            self._forget("d", source, old)
         self._cache[source] = dist
         if mapped:
-            self._mapped.add(("d", source))
+            self._mapped.add(source)
             self._mapped_bytes += dist.nbytes
         else:
             self._hot_bytes += dist.nbytes
-        self._touch("d", source)
         self._enforce_budget()
 
     def distances_from(self, source: int) -> np.ndarray:
@@ -597,13 +535,12 @@ class DistanceOracle:
         if dist is not None:
             self._hits += 1
             self._cache.move_to_end(source)
-            self._touch("d", source)
             return dist
-        if self._cold_tier is not None and self._cold_tier.has("d", source):
+        if self._cold_tier is not None and self._cold_tier.has(source):
             # Cold tier hit: the row was spilled, not dropped — promoting it
             # back is an accounted cache hit (``--stats`` hit rates must not
             # depend on which tier served the row).
-            dist = self._cold_tier.pop("d", source)
+            dist = self._cold_tier.pop(source)
             self._hits += 1
             self._cold_hits += 1
             self._cold_promotions += 1
@@ -659,70 +596,6 @@ class DistanceOracle:
         self.prefetch(targets)
         return np.stack([self.distances_to(t) for t in targets])
 
-    def next_local_to(self, target: int) -> np.ndarray:
-        """Per-node best local hop towards *target* (cached, read-only).
-
-        ``next_local[u]`` is the neighbour :func:`repro.routing.greedy.greedy_route`
-        would forward to from ``u`` if ``u`` had no long-range link (``-1``
-        when no neighbour strictly improves on ``dist(u, target)``).  Tables
-        are memoised under the same LRU policy as the distance arrays.
-
-        On a connected tree the table is read directly off the BFS parent
-        pointers (one :func:`~repro.graphs.frontier.frontier_bfs_tree` sweep
-        yields distances *and* pointers — cheaper than the segment-argmin
-        pass, and equivalent because each node's improving neighbour is
-        unique); everywhere else it is one vectorized segment-argmin over the
-        cached distance array.
-        """
-        target = check_node_index(int(target), self._graph.num_nodes, "target")
-        table = self._next_local.get(target)
-        if table is not None:
-            self._next_local.move_to_end(target)
-            self._touch("l", target)
-            return table
-        if self._cold_tier is not None and self._cold_tier.has("l", target):
-            table = self._cold_tier.pop("l", target)
-            table.setflags(write=False)
-            self._cold_hits += 1
-            self._cold_promotions += 1
-            self._store_next_local(target, table)
-            return self._next_local[target]
-        dist = None
-        if target in self._cache:
-            # Accounted lookup: a cached distance array serving a hop-table
-            # build is a real cache hit and must refresh the LRU position —
-            # a bare ``.get`` here used to under-report ``--stats`` hit rates
-            # and let the eviction order drift from true LRU.
-            dist = self.distances_from(target)
-        elif self._graph.num_edges == self._graph.num_nodes - 1:
-            # Tree-shaped edge count: one sweep gives distances and parents.
-            dist, parent = frontier_bfs_tree(self._graph, target)
-            self._misses += 1
-            self._store(target, dist)
-            if not np.any(dist == UNREACHABLE):
-                # Genuinely a connected tree: the parent pointer *is* the
-                # unique improving neighbour.
-                table = parent.copy()
-                table[target] = -1
-            # else: n-1 edges but disconnected (so some component has a
-            # cycle) — fall through to the argmin pass on the fresh array.
-        if dist is None:
-            dist = self.distances_from(target)
-        if table is None:
-            table = next_local_pointers(self._graph, dist, slot_owner=self._owner_map())
-        table.setflags(write=False)
-        self._store_next_local(target, table)
-        return self._next_local[target]
-
-    def _owner_map(self) -> np.ndarray:
-        """The CSR slot-to-node map, built once and reused by every pass."""
-        if self._slot_owner is None:
-            self._slot_owner = np.repeat(
-                np.arange(self._graph.num_nodes, dtype=np.int64),
-                np.diff(self._graph.indptr),
-            )
-        return self._slot_owner
-
     def _padded_adjacency(self):
         """Padded adjacency for the batched pointer pass, built once."""
         if self._padded is False:  # computed before, graph rejected padding
@@ -734,77 +607,19 @@ class DistanceOracle:
                 return None
         return self._padded
 
-    def _store_next_local(self, target: int, table: np.ndarray, *, mapped: bool = False) -> None:
-        table = np.asarray(table, dtype=self._dtype)
-        table.setflags(write=False)
-        old = self._next_local.pop(target, None)
-        if old is not None:
-            self._forget("l", target, old)
-        self._next_local[target] = table
-        if mapped:
-            self._mapped.add(("l", target))
-            self._mapped_bytes += table.nbytes
-        else:
-            self._hot_bytes += table.nbytes
-        self._touch("l", target)
-        self._enforce_budget()
-
     def next_local_to_many(self, targets: Sequence[int]) -> np.ndarray:
         """Hop-table block of shape ``(len(targets), n)``, one row per target.
 
-        Rows already memoised by :meth:`next_local_to` are reused; all missing
-        rows are built together — their distance arrays warmed with one
-        batched frontier sweep (:meth:`distances_to_many`, a cache hit per
-        already-known row) and their pointer tables derived in **one**
-        transposed composite-key pass (:func:`next_local_pointers_many`)
-        instead of one Python round-trip per target.  Every row is
-        bit-for-bit identical to the corresponding :meth:`next_local_to`
-        table, and fresh rows are memoised under the same LRU policy.
-        Duplicate targets repeat their row; the returned block is a fresh
-        writable stack.
+        ``out[i, u]`` is the neighbour :func:`repro.routing.greedy.greedy_route`
+        would forward to from ``u`` towards ``targets[i]`` if ``u`` had no
+        long-range link (``-1`` when no neighbour strictly improves on the
+        distance).  The rows are gathered from the :meth:`routing_blocks`
+        pool, so targets not pooled yet join it (one batched BFS for the
+        uncached ones, one hop-table pass).  Duplicate targets repeat their
+        row; the returned block is a fresh writable array.
         """
-        n = self._graph.num_nodes
-        key = [check_node_index(int(t), n, "target") for t in targets]
-        if not key:
-            return np.empty((0, n), dtype=self._dtype)
-        self._ensure_next_local(key)
-        return np.stack([self.next_local_to(t) for t in key])
-
-    def _ensure_next_local(self, targets: Sequence[int]) -> None:
-        """Build (and memoise) every missing hop table of *targets* at once.
-
-        The batched core shared by :meth:`next_local_to_many` and
-        :meth:`routing_blocks`: missing targets' distance arrays are warmed
-        with one batched frontier sweep and their pointer tables derived in
-        one transposed composite-key pass (:func:`next_local_pointers_many`).
-        Targets must be validated node indices.
-        """
-        missing: list = []
-        seen = set()
-        cold = self._cold_tier
-        for t in targets:
-            if t in self._next_local or t in seen:
-                continue
-            if cold is not None and cold.has("l", t):
-                # Spilled, not missing: promote silently (no hit/miss — the
-                # caller's per-target lookup does the accounted access).
-                table = cold.pop("l", t)
-                self._cold_promotions += 1
-                self._store_next_local(t, table)
-                continue
-            seen.add(t)
-            missing.append(t)
-        if missing:
-            dist_block = self.distances_to_many(missing)
-            tables = next_local_pointers_many(
-                self._graph, dist_block, padded=self._padded_adjacency()
-            )
-            for row, t in enumerate(missing):
-                # Copy each row out of the block so the byte budget can
-                # release the block's memory row by row (same as prefetch).
-                table = tables[row].copy()
-                table.setflags(write=False)
-                self._store_next_local(t, table)
+        _, next_local_block, rows = self.routing_blocks(targets)
+        return next_local_block[rows]
 
     def routing_blocks(
         self, targets: Sequence[int]
@@ -820,13 +635,16 @@ class DistanceOracle:
         The rows live in one append-only **pool** per oracle: a target gets a
         row the first time any caller asks for it and keeps it, so a call
         over pooled targets costs one dict lookup per distinct target and no
-        cache traffic.  Fresh targets are warmed together (one batched
-        frontier sweep, one hop-table pass) and appended in sorted order; the
-        buffers grow geometrically, carry their rows over and count against
-        ``max_bytes``.  A call that would take the pool past
-        ``_MAX_BLOCK_TARGETS`` targets, or past ``max_bytes`` (the buffers
-        cannot spill), starts it over with this call's distinct targets
-        (counted by :attr:`block_resets`).
+        cache traffic.  Fresh targets are appended together in sorted order:
+        their distance rows come from the cache (one batched frontier sweep
+        for the uncached ones) and their hop tables from one
+        :func:`next_local_pointers_many` pass written straight into the pool.
+        The buffers grow geometrically, carry their rows over and count
+        against ``max_bytes``.  A call that would take the pool past
+        ``_MAX_BLOCK_TARGETS`` targets, or past half of ``max_bytes`` (the
+        buffers cannot spill, and the other half is left to the cached rows),
+        starts it over with this call's distinct targets (counted by
+        :attr:`block_resets`).
 
         Both blocks are read-only views of the pool, shape
         ``(len(block_targets), n)``, valid until a call adds a target (or
@@ -842,14 +660,11 @@ class DistanceOracle:
         fresh = [t for t in uniq if t not in pool_rows]
         cap = _MAX_BLOCK_TARGETS
         if self._max_bytes is not None:  # two int64 rows per pooled target
-            cap = min(cap, self._max_bytes // (16 * max(n, 1)))
+            cap = min(cap, self._max_bytes // (32 * max(n, 1)))
         if fresh and len(self._block_targets) + len(fresh) > cap:
             self._block_targets, self._block_rows = [], {}
             pool_rows, fresh = self._block_rows, uniq
             self._block_resets += 1
-        if fresh:
-            self.prefetch(fresh)
-            self._ensure_next_local(fresh)
         used = len(self._block_targets)
         k = used + len(fresh)
         storage = self._block_storage
@@ -864,13 +679,15 @@ class DistanceOracle:
             # push hot rows out to the cold tier.
             self._enforce_budget()
         dist_buf, nl_buf = storage
-        for row, t in enumerate(fresh, used):
-            dist_row = dist_buf[row]
-            np.copyto(dist_row, self.distances_from(t))
-            dist_row[dist_row == UNREACHABLE] = FAR_DISTANCE
-            np.copyto(nl_buf[row], self.next_local_to(t))
-            pool_rows[t] = row
-        self._block_targets.extend(fresh)
+        if fresh:
+            fresh_dist = self.distances_to_many(fresh)
+            nl_buf[used:k] = next_local_pointers_many(
+                self._graph, fresh_dist, padded=self._padded_adjacency()
+            )
+            dist_buf[used:k] = fresh_dist
+            dist_buf[used:k][fresh_dist == UNREACHABLE] = FAR_DISTANCE
+            pool_rows.update(zip(fresh, range(used, k)))
+            self._block_targets.extend(fresh)
         lookup = np.fromiter((pool_rows[t] for t in uniq), dtype=np.int64, count=len(uniq))
         dist_block, next_local_block = dist_buf[:k], nl_buf[:k]
         dist_block.setflags(write=False)
@@ -896,11 +713,11 @@ class DistanceOracle:
             s = check_node_index(int(s), n, "source")
             if s in self._cache or s in seen:
                 continue
-            if cold is not None and cold.has("d", s):
+            if cold is not None and cold.has(s):
                 # Spilled, not missing: promote silently (no hit/miss — the
                 # caller's per-source lookup does the accounted access).
                 self._cold_promotions += 1
-                self._store(s, cold.pop("d", s))
+                self._store(s, cold.pop(s))
                 continue
             seen.add(s)
             missing.append(s)
@@ -919,72 +736,50 @@ class DistanceOracle:
     # ------------------------------------------------------------------ #
 
     def export_state(self) -> Dict[str, np.ndarray]:
-        """Cached arrays as four plain numpy blocks (JSON-free, ``np.savez``-able).
+        """Cached distance rows as two plain numpy blocks (``np.savez``-able).
 
         ``dist_sources``/``dist_block`` stack the memoised distance arrays
         (hot tier in LRU order, oldest first, then any cold-tier rows in key
-        order) and ``nl_targets``/``nl_block`` the memoised ``next_local``
-        tables.  Together with the graph these blocks fully reconstruct the
-        oracle's caches via :meth:`absorb_state` — the
+        order).  Together with the graph these blocks fully reconstruct the
+        oracle's cache via :meth:`absorb_state` — the
         :class:`~repro.graphs.store.GraphStore` spills them to disk so a
-        sibling worker process rebuilds a warmed oracle with zero BFS.
+        sibling worker process rebuilds a warmed oracle with zero BFS (hop
+        tables are cheap to re-derive from the rows, so none are exported).
         """
         n = self._graph.num_nodes
         cold = self._cold_tier
-        dist_keys = list(self._cache.keys())
-        dist_rows = list(self._cache.values())
-        nl_keys = list(self._next_local.keys())
-        nl_rows = list(self._next_local.values())
+        keys = list(self._cache.keys())
+        rows = list(self._cache.values())
         if cold is not None:
-            for kind, key in sorted(cold._slots):
-                row = np.array(cold._mm[cold._slots[(kind, key)]])
-                if kind == "d":
-                    dist_keys.append(key)
-                    dist_rows.append(row)
-                else:
-                    nl_keys.append(key)
-                    nl_rows.append(row)
-        dist_sources = np.asarray(dist_keys, dtype=np.int64)
-        dist_block = (
-            np.stack(dist_rows) if dist_rows else np.empty((0, n), dtype=self._dtype)
-        )
-        nl_targets = np.asarray(nl_keys, dtype=np.int64)
-        nl_block = np.stack(nl_rows) if nl_rows else np.empty((0, n), dtype=self._dtype)
+            for key in sorted(cold._slots):
+                keys.append(key)
+                rows.append(np.array(cold._mm[cold._slots[key]]))
         return {
-            "dist_sources": dist_sources,
-            "dist_block": dist_block,
-            "nl_targets": nl_targets,
-            "nl_block": nl_block,
+            "dist_sources": np.asarray(keys, dtype=np.int64),
+            "dist_block": np.stack(rows) if rows else np.empty((0, n), dtype=self._dtype),
         }
 
     def absorb_state(self, state: Dict[str, np.ndarray], *, copy: bool = True) -> None:
-        """Preload the caches from an :meth:`export_state` snapshot.
+        """Preload the cache from an :meth:`export_state` snapshot.
 
         Absorbed arrays count as neither hits nor misses (the ``preloaded``
         counter tracks them), entries already cached are left untouched, and
         the byte budget applies as usual — so absorbing is observationally
         identical to having computed the arrays locally, minus the BFS.
 
-        With ``copy=False`` and blocks already in the oracle's row dtype
+        With ``copy=False`` and a block already in the oracle's row dtype
         (the raw-memmap spill loader's case), rows are stored as *views* of
-        the given blocks: memmap-backed pages stay shared between every
+        the given block: memmap-backed pages stay shared between every
         worker absorbing the same spill file and are exempt from the
         ``max_bytes`` budget.
         """
         n = self._graph.num_nodes
         dist_sources = np.asarray(state["dist_sources"], dtype=np.int64)
-        nl_targets = np.asarray(state["nl_targets"], dtype=np.int64)
         dist_block = np.asarray(state["dist_block"])
-        nl_block = np.asarray(state["nl_block"])
-        mapped = (
-            not copy
-            and dist_block.dtype == self._dtype
-            and nl_block.dtype == self._dtype
-        )
+        mapped = not copy and dist_block.dtype == self._dtype
         if not mapped:
             dist_block = np.asarray(dist_block, dtype=self._dtype)
-            nl_block = np.asarray(nl_block, dtype=self._dtype)
-        if dist_block.shape != (dist_sources.size, n) or nl_block.shape != (nl_targets.size, n):
+        if dist_block.shape != (dist_sources.size, n):
             raise ValueError("spilled oracle state does not match this graph's shape")
         for row, source in enumerate(dist_sources):
             source = check_node_index(int(source), n, "source")
@@ -992,15 +787,6 @@ class DistanceOracle:
                 self._store(
                     source,
                     dist_block[row] if mapped else dist_block[row].copy(),
-                    mapped=mapped,
-                )
-                self._preloaded += 1
-        for row, target in enumerate(nl_targets):
-            target = check_node_index(int(target), n, "target")
-            if target not in self._next_local:
-                self._store_next_local(
-                    target,
-                    nl_block[row] if mapped else nl_block[row].copy(),
                     mapped=mapped,
                 )
                 self._preloaded += 1

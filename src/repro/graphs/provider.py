@@ -9,12 +9,13 @@ that surface *was* the concrete
 :class:`typing.Protocol` so "what the routing layers consume" is decoupled
 from "how distances are produced":
 
-* the **exact tier** (``distances_from/_to/_to_many``, ``next_local_to`` /
-  ``next_local_to_many``, ``routing_blocks``) always answers with genuine BFS
-  arrays.  Greedy routing's correctness depends on this: the next-hop tables
-  need the exact strict-``<`` neighbour at ``dist - 1``, and the lane
-  engine's step comparisons consume the same rows — an approximate row here
-  would corrupt trajectories, not just estimates,
+* the **exact tier** (``distances_from/_to/_to_many``, ``routing_blocks``
+  and ``next_local_to_many``, which reads the hop tables out of the
+  routing-block pool) always answers with genuine BFS arrays.  Greedy
+  routing's correctness depends on this: the next-hop tables need the exact
+  strict-``<`` neighbour at ``dist - 1``, and the lane engine's step
+  comparisons consume the same rows — an approximate row here would corrupt
+  trajectories, not just estimates,
 * the **query tier** (``query_distances_from``, ``prefetch_query``) is where
   bulk distance *queries* go: the ball and Kleinberg schemes' contact draws
   (read off the row by :mod:`repro.graphs.balls`, nothing kept),
@@ -82,8 +83,6 @@ class DistanceProvider(Protocol):
 
     def distances_to_many(self, targets: Sequence[int]) -> np.ndarray: ...
 
-    def next_local_to(self, target: int) -> np.ndarray: ...
-
     def next_local_to_many(self, targets: Sequence[int]) -> np.ndarray: ...
 
     def routing_blocks(
@@ -140,8 +139,6 @@ class DistanceProvider(Protocol):
 
     def cache_size(self) -> int: ...
 
-    def next_local_cache_size(self) -> int: ...
-
     def resident_bytes(self) -> int: ...
 
     def memory_stats(self) -> Dict[str, Optional[int]]: ...
@@ -164,7 +161,6 @@ def make_distance_provider(
     landmarks: int = 16,
     seed: int = 0,
     max_bytes: Optional[int] = None,
-    cold_dir: Optional[str] = None,
 ) -> DistanceProvider:
     """Build the :class:`DistanceProvider` for *mode* over *graph*.
 
@@ -176,17 +172,11 @@ def make_distance_provider(
     :class:`ValueError` naming the available ones.
     """
     if mode == "exact":
-        return DistanceOracle(graph, max_bytes=max_bytes, cold_dir=cold_dir)
+        return DistanceOracle(graph, max_bytes=max_bytes)
     if mode == "landmark":
         from repro.graphs.landmark import LandmarkOracle
 
-        return LandmarkOracle(
-            graph,
-            num_landmarks=landmarks,
-            seed=seed,
-            max_bytes=max_bytes,
-            cold_dir=cold_dir,
-        )
+        return LandmarkOracle(graph, num_landmarks=landmarks, seed=seed, max_bytes=max_bytes)
     raise ValueError(
         f"unknown distance_mode {mode!r}; available: {', '.join(DISTANCE_MODES)}"
     )

@@ -15,9 +15,9 @@ experiments.  The :class:`GraphStore` closes that gap:
   see :func:`repro.experiments.common.derive_instance_seed`) zero repeat BFS
   sweeps,
 * with a ``spill_dir`` it becomes a cross-*process* cache: after a cell is
-  computed the oracle's distance and ``next_local`` arrays are spilled to a
-  raw ``.spill`` file keyed by the instance and stamped with a **content
-  fingerprint** of the graph's CSR arrays.  A sibling worker (or a later
+  computed the oracle's distance rows are spilled to a raw ``.spill`` file
+  keyed by the instance and stamped with a **content fingerprint** of the
+  graph's CSR arrays.  A sibling worker (or a later
   run) that misses in memory reloads the spilled arrays instead of re-running
   the BFS — after verifying that the fingerprint matches the graph it just
   built, so a stale or foreign spill file can never smuggle in wrong
@@ -28,17 +28,18 @@ experiments.  The :class:`GraphStore` closes that gap:
   a fresh BFS), so ``--jobs N`` stays bitwise-identical to a serial sweep
   with or without the cache.
 
-**Spill layout (v2).**  The old ``.npz`` spill forced every loader to inflate
-a private copy of each block.  V2 is a raw, page-aligned layout made for
-:func:`numpy.memmap`: an 8-byte magic (``RSPILLV2``), a little-endian uint64
+**Spill layout (v3).**  A raw, page-aligned layout made for
+:func:`numpy.memmap`: an 8-byte magic (``RSPILLV3``), a little-endian uint64
 header length, a JSON header (schema version, fingerprint, ``n``, dtype, the
-source/target key lists and a sha256 of the data section), zero padding to a
-64-byte boundary, then the distance block and the ``next_local`` block as
-plain C-order rows.  Loaders validate the magic, schema, fingerprint and the
-*exact* file size (truncation cannot pass), then hand the oracle read-only
-memmap views — every ``--jobs`` worker shares the same physical pages
-instead of absorbing a private copy.  :func:`write_oracle_spill`,
-:func:`load_oracle_spill` and :func:`read_spill_header` expose the format.
+source key list and a sha256 of the data section), zero padding to a 64-byte
+boundary, then the distance block as plain C-order rows.  Hop tables are not
+spilled: an oracle re-derives them from the absorbed rows in one vectorized
+pass, far cheaper than the BFS the spill saves.  Loaders validate the magic,
+schema, fingerprint and the *exact* file size (truncation cannot pass), then
+hand the oracle read-only memmap views — every ``--jobs`` worker shares the
+same physical pages instead of absorbing a private copy.
+:func:`write_oracle_spill`, :func:`load_oracle_spill` and
+:func:`read_spill_header` expose the format.
 
 :func:`process_store` returns the per-process singleton used by the sweep's
 pool workers, so cells that land in the same worker process share instances
@@ -53,7 +54,6 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
-from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
@@ -76,10 +76,10 @@ __all__ = [
 ]
 
 #: Bump when the spill layout changes; loaders reject other versions.
-SPILL_SCHEMA_VERSION = 2
+SPILL_SCHEMA_VERSION = 3
 
-#: Leading magic of a v2 raw spill file.
-SPILL_MAGIC = b"RSPILLV2"
+#: Leading magic of a v3 raw spill file.
+SPILL_MAGIC = b"RSPILLV3"
 
 #: Sanity bound on the JSON header; anything larger is a corrupt length field.
 _MAX_HEADER_BYTES = 64 * 1024 * 1024
@@ -92,28 +92,16 @@ def _align64(offset: int) -> int:
 
 def write_oracle_spill(path: Union[str, Path], state: Dict[str, np.ndarray],
                        *, fingerprint: str, n: int) -> None:
-    """Write an oracle :meth:`~DistanceOracle.export_state` snapshot as a v2 spill.
-
-    Both data blocks are coerced to one uniform dtype (the distance block's)
-    so the loader can map the whole data section with a single dtype.
-    """
+    """Write an oracle :meth:`~DistanceOracle.export_state` snapshot as a v3 spill."""
     dist_sources = np.asarray(state["dist_sources"], dtype=np.int64)
-    nl_targets = np.asarray(state["nl_targets"], dtype=np.int64)
     dist_block = np.ascontiguousarray(state["dist_block"])
-    nl_block = np.ascontiguousarray(state["nl_block"])
-    if nl_block.dtype != dist_block.dtype:
-        nl_block = nl_block.astype(dist_block.dtype)
-    sha = hashlib.sha256()
-    sha.update(dist_block.data)
-    sha.update(nl_block.data)
     header = {
         "schema_version": SPILL_SCHEMA_VERSION,
         "fingerprint": str(fingerprint),
         "n": int(n),
         "dtype": dist_block.dtype.str,
         "dist_sources": dist_sources.tolist(),
-        "nl_targets": nl_targets.tolist(),
-        "data_sha256": sha.hexdigest(),
+        "data_sha256": hashlib.sha256(dist_block.data).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     data_offset = _align64(len(SPILL_MAGIC) + 8 + len(blob))
@@ -123,11 +111,10 @@ def write_oracle_spill(path: Union[str, Path], state: Dict[str, np.ndarray],
         fh.write(blob)
         fh.write(b"\0" * (data_offset - len(SPILL_MAGIC) - 8 - len(blob)))
         dist_block.tofile(fh)
-        nl_block.tofile(fh)
 
 
 def read_spill_header(path: Union[str, Path]) -> Tuple[Dict, int]:
-    """``(header, data_offset)`` of a v2 spill file.
+    """``(header, data_offset)`` of a v3 spill file.
 
     Raises :class:`ValueError` on a bad magic, a corrupt length field or a
     header that is not valid JSON; the caller decides whether that means
@@ -136,7 +123,7 @@ def read_spill_header(path: Union[str, Path]) -> Tuple[Dict, int]:
     with open(path, "rb") as fh:
         magic = fh.read(len(SPILL_MAGIC))
         if magic != SPILL_MAGIC:
-            raise ValueError("not a v2 oracle spill (bad magic)")
+            raise ValueError("not a v3 oracle spill (bad magic)")
         raw_len = fh.read(8)
         if len(raw_len) != 8:
             raise ValueError("truncated spill header length")
@@ -159,9 +146,9 @@ def load_oracle_spill(
     expected_n: Optional[int] = None,
     verify: bool = False,
 ) -> Dict[str, np.ndarray]:
-    """Memory-map a v2 spill into an :meth:`~DistanceOracle.absorb_state` dict.
+    """Memory-map a v3 spill into an :meth:`~DistanceOracle.absorb_state` dict.
 
-    The returned blocks are **read-only memmap views** sharing pages with
+    The returned block is a **read-only memmap view** sharing pages with
     every other process mapping the same file; absorb them with
     ``copy=False`` to keep that sharing.  Validation is strict — schema
     version, fingerprint, ``n`` and the exact file size must all match
@@ -178,40 +165,24 @@ def load_oracle_spill(
         raise ValueError("spill row length does not match this graph")
     dtype = np.dtype(header["dtype"])
     dist_sources = np.asarray(header["dist_sources"], dtype=np.int64)
-    nl_targets = np.asarray(header["nl_targets"], dtype=np.int64)
-    rows_d, rows_l = dist_sources.size, nl_targets.size
-    row_bytes = n * dtype.itemsize
-    expected_size = data_offset + (rows_d + rows_l) * row_bytes
+    rows = dist_sources.size
+    expected_size = data_offset + rows * n * dtype.itemsize
     actual_size = os.path.getsize(path)
     if actual_size != expected_size:
         raise ValueError(
             f"spill size mismatch: expected {expected_size} bytes, found {actual_size}"
         )
-    if rows_d * n:
+    if rows * n:
         dist_block: np.ndarray = np.memmap(
-            path, dtype=dtype, mode="r", offset=data_offset, shape=(rows_d, n)
+            path, dtype=dtype, mode="r", offset=data_offset, shape=(rows, n)
         )
     else:
-        dist_block = np.empty((rows_d, n), dtype=dtype)
-    if rows_l * n:
-        nl_block: np.ndarray = np.memmap(
-            path, dtype=dtype, mode="r",
-            offset=data_offset + rows_d * row_bytes, shape=(rows_l, n),
-        )
-    else:
-        nl_block = np.empty((rows_l, n), dtype=dtype)
+        dist_block = np.empty((rows, n), dtype=dtype)
     if verify:
-        sha = hashlib.sha256()
-        sha.update(np.ascontiguousarray(dist_block).data)
-        sha.update(np.ascontiguousarray(nl_block).data)
-        if sha.hexdigest() != header.get("data_sha256"):
+        digest = hashlib.sha256(np.ascontiguousarray(dist_block).data).hexdigest()
+        if digest != header.get("data_sha256"):
             raise ValueError("spill data hash mismatch")
-    return {
-        "dist_sources": dist_sources,
-        "dist_block": dist_block,
-        "nl_targets": nl_targets,
-        "nl_block": nl_block,
-    }
+    return {"dist_sources": dist_sources, "dist_block": dist_block}
 
 
 def graph_fingerprint(graph: Graph) -> str:
@@ -244,8 +215,8 @@ class StoreEntry:
     oracle: DistanceProvider
     fingerprint: str
     extras: Dict[str, object] = field(default_factory=dict)
-    #: Cached-array count (dist + next_local) at load / last spill; used to
-    #: skip rewriting spill files whose content would not change.
+    #: Cached distance-row count at load / last spill; used to skip
+    #: rewriting spill files whose content would not change.
     spilled_arrays: int = 0
 
     def extra(self, name: str, build: Callable[[], object]) -> object:
@@ -255,8 +226,8 @@ class StoreEntry:
         return self.extras[name]
 
     def cached_arrays(self) -> int:
-        """Number of arrays the oracle currently caches (dist + next_local)."""
-        return self.oracle.cache_size() + self.oracle.next_local_cache_size()
+        """Number of distance rows the oracle currently caches."""
+        return self.oracle.cache_size()
 
 
 #: Builds the graph of one instance: ``(n, seed) -> Graph`` or
@@ -272,7 +243,7 @@ class GraphStore:
     Parameters
     ----------
     spill_dir:
-        Optional directory for the raw ``.spill`` BFS/next_local files.  When
+        Optional directory for the raw ``.spill`` distance-row files.  When
         set, instance misses first try to reload a spilled oracle state
         (fingerprint-checked, memory-mapped) and :meth:`spill` persists
         warmed oracles for other processes / later runs.
@@ -280,10 +251,6 @@ class GraphStore:
         Test hook building each instance's provider (default: see
         ``distance_mode``); counting oracles plug in here.  When given it
         overrides ``distance_mode``/``landmarks``/``oracle_max_bytes``.
-    max_instances:
-        Optional LRU cap on live instances.  Evicted instances are spilled
-        first (when a ``spill_dir`` is configured), so eviction costs a
-        reload, not a recompute.
     oracle_max_bytes:
         Byte budget handed to every default-constructed provider (the
         ``max_bytes=`` tier budget; ignored when an ``oracle_factory`` is
@@ -307,14 +274,11 @@ class GraphStore:
         *,
         spill_dir: Optional[Union[str, Path]] = None,
         oracle_factory: Optional[Callable[[Graph], DistanceProvider]] = None,
-        max_instances: Optional[int] = None,
         oracle_max_bytes: Optional[int] = None,
         distance_mode: str = "exact",
         landmarks: int = 16,
         verify_spill: bool = False,
     ) -> None:
-        if max_instances is not None and max_instances < 1:
-            raise ValueError("max_instances must be at least 1 (or None for unbounded)")
         if distance_mode not in DISTANCE_MODES:
             raise ValueError(
                 f"unknown distance_mode {distance_mode!r}; "
@@ -322,12 +286,11 @@ class GraphStore:
             )
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._oracle_factory = oracle_factory
-        self._max_instances = max_instances
         self._oracle_max_bytes = oracle_max_bytes
         self._distance_mode = str(distance_mode)
         self._landmarks = int(landmarks)
         self._verify_spill = verify_spill
-        self._entries: "OrderedDict[Tuple[str, int, int], StoreEntry]" = OrderedDict()
+        self._entries: Dict[Tuple[str, int, int], StoreEntry] = {}
         self._stats = {
             "graph_builds": 0,
             "graph_hits": 0,
@@ -335,10 +298,6 @@ class GraphStore:
             "spill_saves": 0,
             "spill_rejected": 0,
         }
-        #: BFS counters of evicted entries, folded into stats() totals.
-        self._retired_misses = 0
-        self._retired_hits = 0
-        self._retired_preloaded = 0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -364,14 +323,14 @@ class GraphStore:
     def stats(self) -> Dict[str, object]:
         """Cache-effectiveness counters (graph builds/hits, spill IO, BFS).
 
-        ``bfs_misses`` counts actual BFS sweeps run by the live + evicted
-        oracles, ``bfs_hits`` cache-served distance queries and
-        ``bfs_preloaded`` arrays absorbed from spill files (each one a BFS
-        that some process did *not* repeat).  ``distance_mode`` plus the
-        sketch counters (``sketch_queries``, ``landmark_sweeps``,
-        ``mean_stretch`` — the latter weighted by each live provider's
-        sampled row count, ``None`` when nothing was sampled) summarise the
-        provider layer; in exact mode they are the identity values.
+        ``bfs_misses`` counts actual BFS sweeps run by the oracles,
+        ``bfs_hits`` cache-served distance queries and ``bfs_preloaded``
+        arrays absorbed from spill files (each one a BFS that some process
+        did *not* repeat).  ``distance_mode`` plus the sketch counters
+        (``sketch_queries``, ``landmark_sweeps``, ``mean_stretch`` — the
+        latter weighted by each provider's sampled row count, ``None`` when
+        nothing was sampled) summarise the provider layer; in exact mode
+        they are the identity values.
         """
         out: Dict[str, object] = dict(self._stats)
         out["instances"] = len(self._entries)
@@ -379,15 +338,9 @@ class GraphStore:
             e.oracle.resident_bytes() for e in self._entries.values()
         )
         out["oracle_nodes"] = sum(e.graph.num_nodes for e in self._entries.values())
-        out["bfs_misses"] = self._retired_misses + sum(
-            e.oracle.misses for e in self._entries.values()
-        )
-        out["bfs_hits"] = self._retired_hits + sum(
-            e.oracle.hits for e in self._entries.values()
-        )
-        out["bfs_preloaded"] = self._retired_preloaded + sum(
-            e.oracle.preloaded for e in self._entries.values()
-        )
+        out["bfs_misses"] = sum(e.oracle.misses for e in self._entries.values())
+        out["bfs_hits"] = sum(e.oracle.hits for e in self._entries.values())
+        out["bfs_preloaded"] = sum(e.oracle.preloaded for e in self._entries.values())
         out["distance_mode"] = self._distance_mode
         sketch_queries = 0
         landmark_sweeps = 0
@@ -406,18 +359,6 @@ class GraphStore:
         out["landmark_sweeps"] = landmark_sweeps
         out["mean_stretch"] = (stretch_sum / stretch_rows) if stretch_rows else None
         return out
-
-    def _retire(self, entry: StoreEntry) -> None:
-        """Fold a dropped entry's BFS counters into the running totals."""
-        self._retired_misses += entry.oracle.misses
-        self._retired_hits += entry.oracle.hits
-        self._retired_preloaded += entry.oracle.preloaded
-
-    def clear(self) -> None:
-        """Drop every live instance (stats are kept)."""
-        for entry in self._entries.values():
-            self._retire(entry)
-        self._entries.clear()
 
     # ------------------------------------------------------------------ #
     # Instances
@@ -438,7 +379,6 @@ class GraphStore:
         entry = self._entries.get(key)
         if entry is not None:
             self._stats["graph_hits"] += 1
-            self._entries.move_to_end(key)
             return entry
         self._stats["graph_builds"] += 1
         built = graph_factory(int(n), int(seed))
@@ -474,11 +414,6 @@ class GraphStore:
         if self._spill_dir is not None:
             self._load_spill(entry)
         self._entries[key] = entry
-        if self._max_instances is not None:
-            while len(self._entries) > self._max_instances:
-                _, evicted = self._entries.popitem(last=False)
-                self._spill_entry(evicted)
-                self._retire(evicted)
         return entry
 
     # ------------------------------------------------------------------ #

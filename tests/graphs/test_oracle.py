@@ -5,7 +5,7 @@ import pytest
 
 from repro.graphs import generators
 from repro.graphs.distances import UNREACHABLE, bfs_distances
-from repro.graphs.oracle import DistanceOracle
+from repro.graphs.oracle import DistanceOracle, next_local_pointers
 
 
 def _rows(graph, count):
@@ -13,10 +13,10 @@ def _rows(graph, count):
     return count * DistanceOracle(graph).distances_from(0).nbytes
 
 
-def _spilled(oracle, kind="d"):
-    """Keys of the distance rows ("d") or hop tables ("l") in the cold tier."""
+def _spilled(oracle):
+    """Sources of the distance rows in the cold tier."""
     cold = oracle._cold_tier
-    return sorted(key for k, key in cold._slots if k == kind) if cold is not None else []
+    return sorted(cold._slots) if cold is not None else []
 
 
 class TestBasicQueries:
@@ -169,34 +169,35 @@ class TestNextLocal:
     def test_matches_greedy_local_scan(self):
         for g in self._portfolio():
             oracle = DistanceOracle(g)
-            for target in range(0, g.num_nodes, max(1, g.num_nodes // 5)):
-                table = oracle.next_local_to(target)
+            targets = list(range(0, g.num_nodes, max(1, g.num_nodes // 5)))
+            block = oracle.next_local_to_many(targets)
+            for row, target in enumerate(targets):
                 expected = _brute_force_next_local(g, oracle.distances_to(target))
-                np.testing.assert_array_equal(table, expected)
+                np.testing.assert_array_equal(block[row], expected)
 
     def test_tree_fast_path_matches_argmin(self):
-        # On a connected tree the table is read off the BFS parent pointers;
-        # it must agree with the brute-force scan (the improving neighbour is
-        # unique there, so any tie-break coincides).
+        # A tree takes the same pointer pass as any other graph; it must
+        # agree with the brute-force scan (the improving neighbour is unique
+        # there, so any tie-break coincides).
         g = generators.random_tree(60, seed=3)
         assert g.num_edges == g.num_nodes - 1
         oracle = DistanceOracle(g)
-        table = oracle.next_local_to(17)
+        table = oracle.next_local_to_many([17])[0]
         np.testing.assert_array_equal(
             table, _brute_force_next_local(g, oracle.distances_to(17))
         )
-        # The tree sweep also warmed the distance cache.
+        # The build also warmed the distance cache.
         assert oracle.cache_size() == 1
 
     def test_tree_edge_count_but_disconnected_falls_back(self):
-        # n-1 edges without connectivity (triangle + isolated node) must not
-        # trust the parent pointers blindly.
+        # n-1 edges without connectivity (triangle + isolated node): the
+        # table comes from the distances, not from the edge count.
         from repro.graphs.graph import Graph
 
         g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)], name="triangle+isolated")
         assert g.num_edges == g.num_nodes - 1
         oracle = DistanceOracle(g)
-        table = oracle.next_local_to(0)
+        table = oracle.next_local_to_many([0])[0]
         np.testing.assert_array_equal(
             table, _brute_force_next_local(g, oracle.distances_to(0))
         )
@@ -204,28 +205,43 @@ class TestNextLocal:
 
     def test_cached_and_read_only(self, grid4x4):
         oracle = DistanceOracle(grid4x4)
-        a = oracle.next_local_to(5)
-        b = oracle.next_local_to(5)
-        assert a is b
+        first = oracle.next_local_to_many([5])
+        traffic = (oracle.hits, oracle.misses)
+        first[0, :] = 0  # the gathered block is the caller's own copy
+        again = oracle.next_local_to_many([5])
+        assert (oracle.hits, oracle.misses) == traffic  # the pooled table is reused
+        np.testing.assert_array_equal(
+            again[0], next_local_pointers(grid4x4, oracle.distances_to(5))
+        )
+        _, pooled, rows = oracle.routing_blocks([5])
         with pytest.raises(ValueError):
-            a[0] = 0
+            pooled[rows[0], 0] = 0
 
     def test_lru_cap_applies(self, cycle12):
-        # Each target costs a distance row and a hop table: a two-row budget
-        # keeps only the newest pair hot and spills every older one.
-        budget = _rows(cycle12, 2)
+        # The pool may take half the budget: one target's two int64 rows.
+        # The distance rows share the other half, four of them, and every
+        # older row spills.
+        budget = 32 * cycle12.num_nodes
         oracle = DistanceOracle(cycle12, max_bytes=budget)
-        for t in range(5):
-            oracle.next_local_to(t)
-        assert oracle.resident_bytes() <= budget
-        assert _spilled(oracle, "l") == [0, 1, 2, 3]
-        assert _spilled(oracle, "d") == [0, 1, 2, 3]
+        reference = DistanceOracle(cycle12)
+        for t in range(8):
+            table = oracle.next_local_to_many([t])[0]
+            np.testing.assert_array_equal(
+                table, next_local_pointers(cycle12, reference.distances_to(t))
+            )
+            assert oracle.resident_bytes() <= budget
+        assert oracle.block_targets == (7,)
+        assert list(oracle._cache) == [4, 5, 6, 7]
+        assert _spilled(oracle) == [0, 1, 2, 3]
 
     def test_clear_drops_tables(self, cycle12):
         oracle = DistanceOracle(cycle12)
-        oracle.next_local_to(3)
+        table = oracle.next_local_to_many([3])
         oracle.clear()
-        assert len(oracle._next_local) == 0
+        assert oracle.block_targets == () and oracle.cache_size() == 0
+        misses = oracle.misses
+        np.testing.assert_array_equal(oracle.next_local_to_many([3]), table)
+        assert oracle.misses == misses + 1  # rebuilt from a fresh BFS
 
 
 class TestDistancesToMany:
@@ -275,7 +291,7 @@ class TestNextLocalMany:
 
     def test_exact_equality_with_per_target_loop(self):
         # grid / ring / tree / disconnected: every row of the batched block
-        # must be bit-for-bit the per-target next_local_to table.
+        # must be bit-for-bit the per-target reference table.
         for g in self._portfolio():
             batched = DistanceOracle(g)
             loop = DistanceOracle(g)
@@ -283,10 +299,12 @@ class TestNextLocalMany:
             block = batched.next_local_to_many(targets)
             assert block.shape == (len(targets), g.num_nodes)
             for row, t in enumerate(targets):
-                np.testing.assert_array_equal(block[row], loop.next_local_to(t))
+                np.testing.assert_array_equal(
+                    block[row], next_local_pointers(g, loop.distances_to(t))
+                )
 
     def test_pointer_pass_matches_reference(self):
-        from repro.graphs.oracle import next_local_pointers, next_local_pointers_many
+        from repro.graphs.oracle import next_local_pointers_many
 
         for g in self._portfolio():
             oracle = DistanceOracle(g)
@@ -310,14 +328,18 @@ class TestNextLocalMany:
         loop = DistanceOracle(star)
         block = batched.next_local_to_many([0, 5, 11])
         for row, t in enumerate([0, 5, 11]):
-            np.testing.assert_array_equal(block[row], loop.next_local_to(t))
+            np.testing.assert_array_equal(
+                block[row], next_local_pointers(star, loop.distances_to(t))
+            )
 
     def test_duplicates_and_cached_rows(self, grid4x4):
         oracle = DistanceOracle(grid4x4)
-        oracle.next_local_to(3)  # pre-warm one row through the scalar path
+        oracle.next_local_to_many([3])  # pre-warm one row on its own
         block = oracle.next_local_to_many([3, 7, 3])
         np.testing.assert_array_equal(block[0], block[2])
-        np.testing.assert_array_equal(block[1], DistanceOracle(grid4x4).next_local_to(7))
+        np.testing.assert_array_equal(
+            block[1], DistanceOracle(grid4x4).next_local_to_many([7])[0]
+        )
 
     def test_warms_distance_cache_and_is_memoised(self, grid4x4):
         oracle = DistanceOracle(grid4x4)
@@ -329,16 +351,19 @@ class TestNextLocalMany:
         assert oracle.misses == misses
 
     def test_lru_cap_respected(self, cycle12):
-        budget = _rows(cycle12, 2)
+        # The pool takes the batch's four hop tables; the distance rows get
+        # what is left of the budget, and the ones over it spill, never drop.
+        budget = _rows(cycle12, 2) + 4 * 16 * cycle12.num_nodes
         oracle = DistanceOracle(cycle12, max_bytes=budget)
         block = oracle.next_local_to_many([1, 2, 3, 4])
         reference = DistanceOracle(cycle12)
         for row, t in enumerate([1, 2, 3, 4]):
-            np.testing.assert_array_equal(block[row], reference.next_local_to(t))
+            np.testing.assert_array_equal(
+                block[row], next_local_pointers(cycle12, reference.distances_to(t))
+            )
         assert oracle.resident_bytes() <= budget
-        # Tables over the budget are spilled, never dropped.
-        assert sorted(list(oracle._next_local) + _spilled(oracle, "l")) == [1, 2, 3, 4]
-        assert _spilled(oracle, "l")
+        assert sorted(list(oracle._cache) + _spilled(oracle)) == [1, 2, 3, 4]
+        assert _spilled(oracle)
 
     def test_empty_targets(self, cycle12):
         oracle = DistanceOracle(cycle12)
@@ -351,12 +376,14 @@ class TestSpillState:
     def test_round_trip_is_bitwise_and_bfs_free(self, grid4x4):
         warm = DistanceOracle(grid4x4)
         warm.prefetch([0, 5, 9])
-        warm.next_local_to(5)
+        warm.next_local_to_many([5])
         cold = DistanceOracle(grid4x4)
         cold.absorb_state(warm.export_state())
-        assert cold.misses == 0 and cold.preloaded == 4
+        assert cold.misses == 0 and cold.preloaded == 3
         np.testing.assert_array_equal(cold.distances_from(9), warm.distances_from(9))
-        np.testing.assert_array_equal(cold.next_local_to(5), warm.next_local_to(5))
+        np.testing.assert_array_equal(
+            cold.next_local_to_many([5]), warm.next_local_to_many([5])
+        )
         assert cold.misses == 0  # every query above was absorbed, not recomputed
 
     def test_absorb_keeps_existing_entries(self, cycle12):
@@ -383,7 +410,7 @@ class TestSpillState:
 class TestNextLocalAccounting:
     """Regression: the hop-table build must use the *accounted* cache lookup.
 
-    ``next_local_to`` used to peek at ``self._cache`` with a bare ``.get``,
+    A hop-table build once peeked at ``self._cache`` with a bare ``.get``,
     so serving a hop table from a cached distance array neither counted a
     hit (``--stats`` under-reported) nor refreshed the LRU position (the
     eviction order deviated from true LRU).
@@ -393,32 +420,34 @@ class TestNextLocalAccounting:
         oracle = DistanceOracle(grid4x4)
         oracle.distances_from(3)
         assert (oracle.hits, oracle.misses) == (0, 1)
-        oracle.next_local_to(3)  # consumes the cached array -> a real hit
+        oracle.next_local_to_many([3])  # consumes the cached array -> a real hit
         assert (oracle.hits, oracle.misses) == (1, 1)
-        oracle.next_local_to(3)  # memoised table: no distance-cache traffic
+        oracle.next_local_to_many([3])  # pooled table: no distance-cache traffic
         assert (oracle.hits, oracle.misses) == (1, 1)
 
     def test_uncached_target_counts_a_miss_once(self, grid4x4):
         oracle = DistanceOracle(grid4x4)
-        oracle.next_local_to(7)
-        assert (oracle.hits, oracle.misses) == (0, 1)
+        oracle.next_local_to_many([7])  # one BFS, then the pool reads the row
+        assert (oracle.hits, oracle.misses) == (1, 1)
 
     def test_lookup_refreshes_lru_position(self, cycle12):
-        # Three rows fit: distance rows 0 and 1 plus hop table 0.
-        oracle = DistanceOracle(cycle12, max_bytes=_rows(cycle12, 3))
+        # Two distance rows fit next to a one-target block pool.
+        budget = _rows(cycle12, 2) + 16 * cycle12.num_nodes
+        oracle = DistanceOracle(cycle12, max_bytes=budget)
         oracle.distances_from(0)
         oracle.distances_from(1)  # LRU order: 0 (oldest), 1
-        oracle.next_local_to(0)   # must refresh 0 -> 1 is now the oldest
+        oracle.routing_blocks([0])  # must refresh 0 -> 1 is now the oldest
         oracle.distances_from(2)  # spills 1, keeps 0
         assert _spilled(oracle) == [1]  # 1 was the eviction victim
-        assert _spilled(oracle, "l") == []
 
     def test_tree_fast_path_still_counts_one_miss(self, tree15):
+        # A tree target takes the same accounted lookup as any other: one
+        # BFS miss, then one hit when the pool reads the fresh row.
         oracle = DistanceOracle(tree15)
-        oracle.next_local_to(4)  # frontier_bfs_tree sweep: one miss
-        assert (oracle.hits, oracle.misses) == (0, 1)
-        oracle.next_local_to(4)
-        assert (oracle.hits, oracle.misses) == (0, 1)
+        oracle.next_local_to_many([4])
+        assert (oracle.hits, oracle.misses) == (1, 1)
+        oracle.next_local_to_many([4])
+        assert (oracle.hits, oracle.misses) == (1, 1)
 
 
 class TestRoutingBlocksReuse:
@@ -432,7 +461,7 @@ class TestRoutingBlocksReuse:
         # deliberately larger than any narrow cached-row dtype can hold.
         dist = np.stack([ref.distances_to(t).copy() for t in targets]).astype(np.int64)
         dist[dist == UNREACHABLE] = FAR_DISTANCE
-        nl = np.stack([ref.next_local_to(t) for t in targets])
+        nl = np.stack([next_local_pointers(graph, ref.distances_to(t)) for t in targets])
         return dist, nl
 
     def _assert_rows_match(self, graph, blocks, targets):
@@ -473,15 +502,24 @@ class TestRoutingBlocksReuse:
         first = [block.copy() for block in oracle.routing_blocks((2, 7))[:2]]
         hits_before, misses_before = oracle.hits, oracle.misses
         second = oracle.routing_blocks((2, 11))
-        # Only the new target cost anything: one BFS, and two accounted
-        # reads of its fresh array (hop-table build + row copy).  The pooled
-        # target 2 produced zero cache traffic.
+        # Only the new target cost anything: one BFS, and one accounted read
+        # of its fresh array (it feeds both the hop-table pass and the row
+        # copy).  The pooled target 2 produced zero cache traffic.
         assert oracle.misses == misses_before + 1
-        assert oracle.hits == hits_before + 2
+        assert oracle.hits == hits_before + 1
         assert oracle.block_targets == (2, 7, 11)
         np.testing.assert_array_equal(second[0][:2], first[0])
         np.testing.assert_array_equal(second[1][:2], first[1])
         self._assert_rows_match(grid4x4, second, (2, 11))
+
+    def test_pool_holds_the_only_hop_tables(self, grid4x4):
+        oracle = DistanceOracle(grid4x4)
+        targets = (3, 9, 12)
+        oracle.routing_blocks(targets)
+        # Hot bytes are the targets' distance rows alone: no second copy of
+        # the hop tables outside the pool.
+        row = oracle.distances_from(3).nbytes
+        assert oracle.memory_stats()["hot_bytes"] == len(targets) * row
 
     def test_growth_keeps_every_row(self, grid4x4):
         oracle = DistanceOracle(grid4x4)

@@ -8,11 +8,17 @@ identical to the unbounded oracle* — the budget changes where rows live,
 never what a query returns or how it is counted.
 """
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.core.uniform import UniformScheme
 from repro.graphs import generators
 from repro.graphs.oracle import DistanceOracle
+from repro.graphs.store import GraphStore
+from repro.routing.simulator import estimate_expected_steps
 
 
 def row_bytes(graph):
@@ -61,7 +67,7 @@ class TestSpillAndPromotion:
                 tight.distances_from(s), loose.distances_from(s)
             )
             np.testing.assert_array_equal(
-                tight.next_local_to(s), loose.next_local_to(s)
+                tight.next_local_to_many([s]), loose.next_local_to_many([s])
             )
 
     def test_cold_hit_is_an_accounted_hit(self, cycle):
@@ -97,12 +103,12 @@ class TestSpillAndPromotion:
         assert (oracle.hits, oracle.misses) == (hits, misses)
         assert oracle.cold_promotions > promotions
 
-    def test_next_local_tables_spill_too(self, cycle):
+    def test_hop_tables_stay_exact_while_rows_spill(self, cycle):
         oracle = DistanceOracle(cycle, max_bytes=2 * row_bytes(cycle))
-        tables = {t: oracle.next_local_to(t).copy() for t in range(8)}
+        tables = {t: oracle.next_local_to_many([t])[0].copy() for t in range(8)}
         assert oracle.cold_spills > 0
         for t, expected in tables.items():
-            np.testing.assert_array_equal(oracle.next_local_to(t), expected)
+            np.testing.assert_array_equal(oracle.next_local_to_many([t])[0], expected)
 
     def test_routing_blocks_under_budget(self, cycle):
         budget = 8 * row_bytes(cycle) + 4 * 2 * cycle.num_nodes * 8
@@ -116,13 +122,30 @@ class TestSpillAndPromotion:
 
     def test_block_pool_starts_over_at_the_budget(self, cycle):
         pool_bytes = 4 * 2 * cycle.num_nodes * 8  # four pooled targets
-        budget = pool_bytes + 2 * row_bytes(cycle)
+        budget = 2 * pool_bytes + 2 * row_bytes(cycle)  # the pool gets half
         oracle = DistanceOracle(cycle, max_bytes=budget)
         for first in range(0, 24, 2):
             oracle.routing_blocks((first, first + 1))
             assert oracle.memory_stats()["block_bytes"] <= pool_bytes
+            assert oracle.memory_stats()["block_bytes"] <= budget // 2
             assert oracle.resident_bytes() <= budget
         assert oracle.block_resets == 5  # 12 calls of 2 targets, 4 per pool
+
+    def test_block_pool_leaves_half_the_budget_to_rows(self):
+        # A pool allowed the whole budget would push every distance row out
+        # to the cold tier, so each fresh row would come back as a promotion.
+        ring = generators.cycle_graph(4096)
+        budget = 1 << 20
+        oracle = DistanceOracle(ring, max_bytes=budget)
+        scheme = UniformScheme(ring, seed=3)
+        for i in range(16):
+            pairs = [
+                (97 * (4 * i + j) % 4096, (97 * (4 * i + j) + 2048) % 4096)
+                for j in range(4)
+            ]
+            estimate_expected_steps(ring, scheme, pairs, trials=2, seed=i, oracle=oracle)
+            assert oracle.memory_stats()["block_bytes"] <= budget // 2
+        assert oracle.cold_promotions == 0
 
 
 class TestExportWithColdTier:
@@ -157,3 +180,33 @@ class TestExportWithColdTier:
             oracle.distances_from(3), DistanceOracle(cycle).distances_from(3)
         )
 
+
+class TestColdTierFile:
+    """A dropped oracle closes its cold-tier file without an explicit clear()."""
+
+    def _assert_no_unclosed_file(self, build):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build()  # everything it makes is dropped on return
+            gc.collect()
+        unclosed = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert unclosed == []
+
+    def test_dropped_oracle_closes_its_cold_tier(self):
+        def build():
+            oracle = DistanceOracle(generators.torus_graph([32, 32]), max_bytes=64 * 1024)
+            oracle.prefetch(range(240))
+            assert oracle.memory_stats()["cold_entries"] > 0
+
+        self._assert_no_unclosed_file(build)
+
+    def test_dropped_store_closes_its_oracles_cold_tier(self):
+        def build():
+            store = GraphStore(oracle_max_bytes=64 * 1024)
+            entry = store.instance(
+                "torus", 1024, 0, lambda n, s: generators.torus_graph([32, 32])
+            )
+            entry.oracle.prefetch(range(240))
+            assert entry.oracle.memory_stats()["cold_entries"] > 0
+
+        self._assert_no_unclosed_file(build)

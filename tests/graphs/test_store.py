@@ -95,25 +95,13 @@ class TestInstanceRegistry:
         entry = store.instance("ring", 32, 1, _ring)
         assert entry.oracle is factory.oracles[0]
 
-    def test_max_instances_lru(self):
-        store = GraphStore(max_instances=2)
-        store.instance("ring", 32, 1, _ring)
-        store.instance("ring", 48, 1, _ring)
-        store.instance("ring", 64, 1, _ring)
-        assert len(store) == 2
-        assert store.stats()["instances"] == 2
-
-    def test_invalid_max_instances(self):
-        with pytest.raises(ValueError):
-            GraphStore(max_instances=0)
-
 
 class TestDiskSpill:
     def test_round_trip_serves_bfs_without_recompute(self, tmp_path):
         writer = GraphStore(spill_dir=tmp_path)
         entry = writer.instance("ring", 64, 7, _ring)
         entry.oracle.prefetch([1, 2, 3])
-        entry.oracle.next_local_to(2)
+        entry.oracle.next_local_to_many([2])
         assert writer.spill() == 1
         assert writer.spill() == 0  # unchanged oracle: no rewrite
 
@@ -121,14 +109,14 @@ class TestDiskSpill:
         reader = GraphStore(spill_dir=tmp_path)
         loaded = reader.instance("ring", 64, 7, _ring)
         assert reader.stats()["spill_loads"] == 1
-        assert loaded.oracle.preloaded == 4  # 3 dist rows + 1 hop table
+        assert loaded.oracle.preloaded == 3  # distance rows only
         np.testing.assert_array_equal(
             loaded.oracle.distances_from(2), entry.oracle.distances_from(2)
         )
         np.testing.assert_array_equal(
-            loaded.oracle.next_local_to(2), entry.oracle.next_local_to(2)
+            loaded.oracle.next_local_to_many([2]), entry.oracle.next_local_to_many([2])
         )
-        assert loaded.oracle.misses == 0  # zero BFS repeated
+        assert loaded.oracle.misses == 0  # zero BFS repeated, hop table included
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         writer = GraphStore(spill_dir=tmp_path)
@@ -168,15 +156,6 @@ class TestDiskSpill:
         assert header["schema_version"] == SPILL_SCHEMA_VERSION
         assert header["fingerprint"] == entry.fingerprint
         assert data_offset % 64 == 0  # rows start page/cache-line aligned
-
-    def test_eviction_spills_before_dropping(self, tmp_path):
-        store = GraphStore(spill_dir=tmp_path, max_instances=1)
-        first = store.instance("ring", 32, 1, _ring)
-        first.oracle.prefetch([3])
-        store.instance("ring", 48, 1, _ring)  # evicts the warmed instance
-        assert store.stats()["spill_saves"] == 1
-        # BFS work of the evicted oracle stays visible in the totals.
-        assert store.stats()["bfs_misses"] >= 1
 
 
 class TestProcessStore:
@@ -259,14 +238,13 @@ class TestJobsParityWithCache:
 
 
 class TestRawSpillFormat:
-    """The v2 raw memmap spill layout (write/read/load round trip)."""
+    """The v3 raw memmap spill layout (write/read/load round trip)."""
 
     def _warmed_state(self, n=64, sources=(1, 2, 5), tables=(2,)):
         graph = generators.cycle_graph(n)
         oracle = DistanceOracle(graph)
         oracle.prefetch(sources)
-        for t in tables:
-            oracle.next_local_to(t)
+        oracle.next_local_to_many(tables)  # pooled hop tables are not spilled
         return graph, oracle, oracle.export_state()
 
     def test_memmap_round_trip_bitwise(self, tmp_path):
@@ -276,8 +254,6 @@ class TestRawSpillFormat:
         loaded = load_oracle_spill(path, verify=True)
         np.testing.assert_array_equal(loaded["dist_sources"], state["dist_sources"])
         np.testing.assert_array_equal(loaded["dist_block"], state["dist_block"])
-        np.testing.assert_array_equal(loaded["nl_targets"], state["nl_targets"])
-        np.testing.assert_array_equal(loaded["nl_block"], state["nl_block"])
         # The blocks really are memmap-backed shared views, not copies.
         assert isinstance(loaded["dist_block"], np.memmap)
         assert not loaded["dist_block"].flags.writeable
@@ -289,7 +265,7 @@ class TestRawSpillFormat:
         row = oracle.distances_from(1).nbytes
         tight = DistanceOracle(graph, max_bytes=row)  # < the absorbed rows
         tight.absorb_state(load_oracle_spill(path), copy=False)
-        assert tight.preloaded == 5
+        assert tight.preloaded == 4
         # Mapped rows do not count against (or trip) the byte budget.
         assert tight.resident_bytes() == 0
         assert tight.cold_spills == 0
@@ -340,4 +316,3 @@ class TestRawSpillFormat:
         write_oracle_spill(path, state, fingerprint=graph_fingerprint(graph), n=16)
         loaded = load_oracle_spill(path, verify=True)
         assert loaded["dist_block"].shape == (0, 16)
-        assert loaded["nl_block"].shape == (0, 16)
