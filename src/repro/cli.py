@@ -210,7 +210,8 @@ def _cmd_pathshape(args: argparse.Namespace) -> int:
     ]
     print(format_table(rows, headers=["property", "value"]))
     print()
-    print(format_table(sorted(estimate.candidates.items()), headers=["strategy", "witnessed shape"]))
+    rows = sorted(estimate.candidates.items()) + [[name, "skipped"] for name in estimate.skipped]
+    print(format_table(rows, headers=["strategy", "witnessed shape"]))
     return 0
 
 

@@ -15,7 +15,7 @@ returns the best witnessed shape together with the winning decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.decomposition.bags import DistanceOracle
 from repro.decomposition.elimination import (
@@ -57,6 +57,9 @@ class PathshapeEstimate:
         Name of the construction that produced it.
     candidates:
         Shape witnessed by every strategy that was tried (for reporting).
+    skipped:
+        Strategies (and external decompositions) left untried, in portfolio
+        order, because an earlier candidate reached the provable best.
     """
 
     shape: int
@@ -64,33 +67,33 @@ class PathshapeEstimate:
     decomposition: PathDecomposition
     strategy: str
     candidates: Dict[str, int]
+    skipped: Tuple[str, ...] = ()
 
 
-def _candidate_decompositions(
-    graph: Graph, strategies: Sequence[str]
-) -> List[Tuple[str, PathDecomposition]]:
-    out: List[Tuple[str, PathDecomposition]] = []
-    for strategy in strategies:
-        try:
-            if strategy == "path" and is_path_graph(graph):
-                out.append((strategy, path_decomposition_of_path(graph)))
-            elif strategy == "cycle" and is_cycle_graph(graph):
-                out.append((strategy, path_decomposition_of_cycle(graph)))
-            elif strategy == "caterpillar" and is_caterpillar(graph):
-                out.append((strategy, path_decomposition_of_caterpillar(graph)))
-            elif strategy == "tree" and is_tree(graph):
-                out.append((strategy, path_decomposition_of_tree(graph)))
-            elif strategy == "min_degree":
-                td = tree_decomposition_from_ordering(graph, min_degree_ordering(graph))
-                out.append((strategy, tree_decomposition_to_path(td)))
-            elif strategy == "min_fill":
-                td = tree_decomposition_from_ordering(graph, min_fill_ordering(graph))
-                out.append((strategy, tree_decomposition_to_path(td)))
-            elif strategy == "trivial":
-                out.append((strategy, PathDecomposition.trivial(graph)))
-        except ValueError:
-            continue
-    return out
+def _construct(graph: Graph, strategy: str) -> Optional[PathDecomposition]:
+    """*strategy*'s decomposition of *graph*, or ``None`` where it does not apply."""
+    try:
+        if strategy == "path" and is_path_graph(graph):
+            return path_decomposition_of_path(graph)
+        if strategy == "cycle" and is_cycle_graph(graph):
+            return path_decomposition_of_cycle(graph)
+        if strategy == "caterpillar" and is_caterpillar(graph):
+            return path_decomposition_of_caterpillar(graph)
+        if strategy == "tree" and is_tree(graph):
+            return path_decomposition_of_tree(graph)
+        if strategy == "min_degree":
+            return tree_decomposition_to_path(
+                tree_decomposition_from_ordering(graph, min_degree_ordering(graph))
+            )
+        if strategy == "min_fill":
+            return tree_decomposition_to_path(
+                tree_decomposition_from_ordering(graph, min_fill_ordering(graph))
+            )
+        if strategy == "trivial":
+            return PathDecomposition.trivial(graph)
+    except ValueError:
+        pass
+    return None
 
 
 def estimate_pathshape(
@@ -102,13 +105,23 @@ def estimate_pathshape(
 ) -> PathshapeEstimate:
     """Upper-bound the pathshape of *graph* with a portfolio of constructions.
 
+    The candidates are built and scored one at a time, in portfolio order
+    (the *strategies*, then the *external* decompositions); the smallest
+    ``(shape, width)`` wins and ties keep the first.  On a graph with an
+    edge no decomposition can beat ``(1, 1)`` — the bag covering that edge
+    has width and length at least 1 — so the first candidate to reach it
+    wins outright and the rest are skipped (listed in ``skipped``): exact
+    path and caterpillar constructions never wait for the elimination
+    heuristics.
+
     Parameters
     ----------
     graph:
         Connected graph to decompose.
     strategies:
-        Which constructions to try; defaults to every applicable one except
-        the expensive ``"min_fill"`` for graphs above 2000 nodes.
+        Which constructions to try; defaults to the exact path, cycle,
+        caterpillar and tree constructions, then the min-degree and min-fill
+        elimination heuristics, with min-fill left out above 2000 nodes.
     compute_length:
         When true, per-bag *length* is evaluated (one memoised BFS per
         distinct bag member), so the reported shape uses the full
@@ -129,27 +142,37 @@ def estimate_pathshape(
         strategies = ["path", "cycle", "caterpillar", "tree", "min_degree"]
         if graph.num_nodes <= 2000:
             strategies.append("min_fill")
-    candidates = _candidate_decompositions(graph, strategies)
-    if external:
-        candidates.extend((name, pd) for name, pd in external.items())
-    if not candidates:
-        candidates = [("trivial", PathDecomposition.trivial(graph))]
     oracle = DistanceOracle(graph) if compute_length else None
+
+    def score(pd: PathDecomposition) -> Tuple[int, int]:
+        return pd.shape(graph, oracle=oracle, width_only=not compute_length), pd.width()
+
+    portfolio = list(strategies) + list(external or {})
+    provable_best = (1, 1) if graph.num_edges > 0 else None
     scored: Dict[str, int] = {}
-    best: Optional[Tuple[int, int, str, PathDecomposition]] = None
-    for name, pd in candidates:
-        shape = pd.shape(graph, oracle=oracle, width_only=not compute_length)
-        width = pd.width()
-        scored[name] = shape
-        key = (shape, width)
-        if best is None or key < (best[0], best[1]):
-            best = (shape, width, name, pd)
-    assert best is not None
-    shape, width, name, pd = best
+    skipped: Tuple[str, ...] = ()
+    best: Optional[Tuple[Tuple[int, int], str, PathDecomposition]] = None
+    for index, name in enumerate(portfolio):
+        pd = _construct(graph, name) if index < len(strategies) else external[name]
+        if pd is None:
+            continue
+        key = score(pd)
+        scored[name] = key[0]
+        if best is None or key < best[0]:
+            best = (key, name, pd)
+        if key == provable_best:
+            skipped = tuple(portfolio[index + 1:])
+            break
+    if best is None:
+        pd = PathDecomposition.trivial(graph)
+        best = (score(pd), "trivial", pd)
+        scored["trivial"] = best[0][0]
+    (shape, width), name, pd = best
     return PathshapeEstimate(
         shape=max(shape, 1),
         width=width,
         decomposition=pd,
         strategy=name,
         candidates=scored,
+        skipped=skipped,
     )

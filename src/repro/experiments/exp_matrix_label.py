@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.reporting import ExperimentResult
 from repro.core.matrix_label import Theorem2Scheme
 from repro.core.uniform import UniformScheme
+from repro.decomposition.path_decomposition import PathDecomposition
 from repro.decomposition.pathshape import estimate_pathshape
 from repro.experiments.common import (
     CellPayload,
@@ -58,9 +59,18 @@ from repro.experiments.common import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.graphs import generators
-from repro.graphs.store import GraphStore
+from repro.graphs.store import GraphStore, StoreEntry
 
-__all__ = ["EXPERIMENT_ID", "TITLE", "PAPER_CLAIM", "cell_keys", "run_cell", "assemble", "run"]
+__all__ = [
+    "EXPERIMENT_ID",
+    "TITLE",
+    "PAPER_CLAIM",
+    "pathshape_decomposition",
+    "cell_keys",
+    "run_cell",
+    "assemble",
+    "run",
+]
 
 EXPERIMENT_ID = "EXP-3"
 TITLE = "Theorem 2: the (M, L) matrix + labeling scheme"
@@ -87,6 +97,18 @@ SMALL_PATHSHAPE = ("path", "caterpillar", "spider")
 LARGE_PATHSHAPE = ("torus2d",)
 
 
+def pathshape_decomposition(entry: StoreEntry) -> PathDecomposition:
+    """The instance's portfolio decomposition, memoised as a store extra.
+
+    :func:`estimate_pathshape` depends only on the graph, so one run serves
+    every Theorem-2 scheme of every experiment that routes on this instance
+    (EXP-3 here, EXP-4's tree families).
+    """
+    return entry.extra(
+        "pathshape_decomposition", lambda: estimate_pathshape(entry.graph).decomposition
+    )
+
+
 def cell_keys(config: ExperimentConfig) -> List[Tuple[str, int]]:
     """One cell per (family, n)."""
     return [(family, n) for family in _families() for n in config.effective_sizes()]
@@ -102,8 +124,9 @@ def run_cell(
     """Route the three scheme variants on one shared (family, n) instance.
 
     The path decomposition depends only on the graph, so it is memoised as an
-    instance *extra* on the sweep-wide *store*: both Theorem-2 variants — and
-    any later experiment over the same instance — reuse one estimate.
+    instance *extra* on the sweep-wide *store* (:func:`pathshape_decomposition`):
+    both Theorem-2 variants — and any later experiment over the same
+    instance — reuse one estimate.
     """
     cell_seed = derive_cell_seed(config.seed, EXPERIMENT_ID, family, n)
     instance_seed = derive_instance_seed(config.seed, family, n)
@@ -111,9 +134,7 @@ def run_cell(
         family, n, instance_seed, _families()[family]
     )
     graph, oracle = entry.graph, entry.oracle
-    decomposition = entry.extra(
-        "pathshape_decomposition", lambda: estimate_pathshape(graph).decomposition
-    )
+    decomposition = pathshape_decomposition(entry)
     schemes = [
         (f"theorem2/{family}", Theorem2Scheme(graph, decomposition, seed=cell_seed)),
         (

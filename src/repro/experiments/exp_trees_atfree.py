@@ -33,8 +33,9 @@ streams.
 
 Cells
 -----
-One cell per ``(family, n)``; the instance (graph + exact decomposition) is
-built once and all three schemes share it and one :class:`DistanceOracle`.
+One cell per ``(family, n)``; the instance (graph + decomposition: the exact
+one for intervals, the memoised pathshape portfolio's for trees) is built
+once and all three schemes share it and one :class:`DistanceOracle`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from repro.experiments.common import (
     run_experiment,
 )
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.exp_matrix_label import pathshape_decomposition
 from repro.graphs import generators
 from repro.graphs.graph import Graph
 from repro.graphs.store import GraphStore
@@ -113,7 +115,10 @@ def run_cell(
     """Route the three scheme variants on one shared instance + decomposition.
 
     The instance (graph, oracle and — for the interval family — the exact
-    clique-path decomposition) comes from the sweep-wide *store*.
+    clique-path decomposition) comes from the sweep-wide *store*.  The tree
+    families take the portfolio decomposition EXP-3 memoises the same way,
+    so both Theorem-2 variants share one
+    :func:`~repro.decomposition.pathshape.estimate_pathshape` run.
     """
     cell_seed = derive_cell_seed(config.seed, EXPERIMENT_ID, family, n)
     instance_seed = derive_instance_seed(config.seed, family, n)
@@ -122,6 +127,8 @@ def run_cell(
     )
     graph, oracle = entry.graph, entry.oracle
     decomposition = entry.extras.get("decomposition")
+    if decomposition is None:
+        decomposition = pathshape_decomposition(entry)
     schemes = [
         (
             f"ancestor_only/{family}",

@@ -763,7 +763,8 @@ class DistanceOracle:
         """Preload the cache from an :meth:`export_state` snapshot.
 
         Absorbed arrays count as neither hits nor misses (the ``preloaded``
-        counter tracks them), entries already cached are left untouched, and
+        counter tracks them), entries already cached — hot or in the cold
+        tier — are left untouched, and
         the byte budget applies as usual — so absorbing is observationally
         identical to having computed the arrays locally, minus the BFS.
 
@@ -783,10 +784,12 @@ class DistanceOracle:
             raise ValueError("spilled oracle state does not match this graph's shape")
         for row, source in enumerate(dist_sources):
             source = check_node_index(int(source), n, "source")
-            if source not in self._cache:
-                self._store(
-                    source,
-                    dist_block[row] if mapped else dist_block[row].copy(),
-                    mapped=mapped,
-                )
-                self._preloaded += 1
+            cold = self._cold_tier
+            if source in self._cache or (cold is not None and cold.has(source)):
+                continue  # already held, hot or spilled
+            self._store(
+                source,
+                dist_block[row] if mapped else dist_block[row].copy(),
+                mapped=mapped,
+            )
+            self._preloaded += 1

@@ -226,8 +226,12 @@ class StoreEntry:
         return self.extras[name]
 
     def cached_arrays(self) -> int:
-        """Number of distance rows the oracle currently caches."""
-        return self.oracle.cache_size()
+        """Number of distance rows the oracle holds, hot and cold tiers alike.
+
+        Rows only ever move between the tiers (spilled, never dropped), so
+        this count grows exactly when the oracle learns a new row.
+        """
+        return self.oracle.cache_size() + int(self.oracle.memory_stats()["cold_entries"] or 0)
 
 
 #: Builds the graph of one instance: ``(n, seed) -> Graph`` or

@@ -1,6 +1,7 @@
 """Unit tests for elimination orderings and the induced tree decompositions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.decomposition.elimination import (
     min_degree_ordering,
@@ -10,6 +11,7 @@ from repro.decomposition.elimination import (
 )
 from repro.graphs import generators
 from repro.graphs.graph import Graph
+from tests.decomposition.elimination_reference import reference_min_fill_ordering
 
 
 class TestOrderings:
@@ -69,3 +71,48 @@ class TestDecompositionFromOrdering:
         g = Graph.from_edges(5, [(0, 1), (2, 3)])
         td = tree_decomposition_from_ordering(g, min_degree_ordering(g))
         assert td.is_valid_for(g)
+
+
+@st.composite
+def random_graphs(draw):
+    """Random simple graphs on 1..40 nodes, any density, often disconnected."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(possible), max_size=4 * n, unique=True)) if possible else []
+    return Graph.from_edges(n, edges)
+
+
+class TestMinFillMatchesReference:
+    """The incremental ordering equals the full-rescan reference, step for step."""
+
+    def test_small_graph_portfolio(self, small_graphs):
+        for g in small_graphs:
+            assert min_fill_ordering(g) == reference_min_fill_ordering(g), g.name
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (4, 5)]),
+            Graph.empty(5),
+            generators.complete_graph(9),
+            generators.star_graph(17),
+            generators.torus_graph([4, 4, 4]),
+            generators.torus_graph([16, 16]),
+            generators.caterpillar_graph(30, 2),
+            generators.spider_graph(4, 12),
+            generators.lollipop_graph(8, 12),
+        ],
+        ids=lambda g: g.name,
+    )
+    def test_structured_graphs(self, graph):
+        assert min_fill_ordering(graph) == reference_min_fill_ordering(graph)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_interval_graphs(self, seed):
+        graph, _ = generators.random_interval_graph(60, seed=seed)
+        assert min_fill_ordering(graph) == reference_min_fill_ordering(graph)
+
+    @given(random_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs(self, graph):
+        assert min_fill_ordering(graph) == reference_min_fill_ordering(graph)

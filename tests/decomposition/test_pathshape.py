@@ -51,6 +51,29 @@ class TestEstimatePathshape:
         assert "min_degree" in est.candidates
         assert est.strategy in est.candidates
 
+    def test_path_and_caterpillar_stop_at_the_provable_best(self):
+        # (shape, width) = (1, 1) cannot be beaten on a graph with an edge,
+        # so the exact construction wins and the heuristics are not built.
+        path = estimate_pathshape(generators.path_graph(40))
+        assert (path.strategy, path.candidates) == ("path", {"path": 1})
+        assert path.skipped == ("cycle", "caterpillar", "tree", "min_degree", "min_fill")
+        cat = estimate_pathshape(generators.caterpillar_graph(20, 1))
+        assert (cat.strategy, cat.shape, cat.width) == ("caterpillar", 1, 1)
+        assert cat.skipped == ("tree", "min_degree", "min_fill")
+
+    def test_stop_skips_external_decompositions_too(self):
+        g = generators.path_graph(12)
+        est = estimate_pathshape(g, external={"other": estimate_pathshape(g).decomposition})
+        assert est.strategy == "path"
+        assert est.skipped[-1] == "other"
+
+    def test_no_stop_without_a_unit_candidate(self, grid4x4):
+        assert estimate_pathshape(grid4x4).skipped == ()
+        assert estimate_pathshape(generators.cycle_graph(12)).skipped == ()
+        # Without an edge (1, 1) is no bound: every strategy is still tried.
+        single = estimate_pathshape(generators.path_graph(1))
+        assert single.skipped == () and "min_fill" in single.candidates
+
     def test_empty_graph_rejected(self):
         from repro.graphs.graph import Graph
 

@@ -13,7 +13,13 @@ import pytest
 from repro.analysis.reporting import CellArtifact, load_cell_artifact
 from repro.core.ball_scheme import BallScheme
 from repro.core.uniform import UniformScheme
-from repro.experiments import exp_ball_scheme, exp_kleinberg, exp_uniform
+from repro.experiments import (
+    exp_ball_scheme,
+    exp_kleinberg,
+    exp_matrix_label,
+    exp_trees_atfree,
+    exp_uniform,
+)
 from repro.experiments.common import (
     derive_cell_seed,
     derive_instance_seed,
@@ -157,6 +163,39 @@ class TestOracleReuse:
         # serve repeat queries from cache.
         assert 0 < len(factory.oracles) < total_cells
         assert factory.total_hits > 0
+
+
+class TestDecompositionReuse:
+    def test_tree_cells_run_the_portfolio_once_per_instance(self, monkeypatch):
+        """EXP-4's tree families memoise the portfolio decomposition as the
+        store extra EXP-3 uses, so both Theorem-2 variants share one run;
+        the interval family keeps its exact clique-path decomposition."""
+        import repro.core.matrix_label as matrix_label_module
+
+        runs = []
+        estimate = exp_matrix_label.estimate_pathshape
+
+        def counted(graph, **kwargs):
+            runs.append(graph.name)
+            return estimate(graph, **kwargs)
+
+        monkeypatch.setattr(exp_matrix_label, "estimate_pathshape", counted)
+        monkeypatch.setattr(matrix_label_module, "estimate_pathshape", counted)
+        store = GraphStore()
+        n = min(TINY.sizes)
+        entries = {}
+        for family, factory in exp_trees_atfree._tree_instances().items():
+            exp_trees_atfree.run_cell(TINY, family, n, store=store)
+            seed = derive_instance_seed(TINY.seed, family, n)
+            entries[family] = store.instance(family, n, seed, factory)
+        assert len(runs) == 2  # one per tree instance, none for the interval graph
+        for family in ("tree/caterpillar", "tree/spider"):
+            entry = entries[family]
+            memo = entry.extras["pathshape_decomposition"]
+            assert memo.bags == estimate(entry.graph).decomposition.bags
+        interval = entries["atfree/interval"]
+        assert "decomposition" in interval.extras
+        assert "pathshape_decomposition" not in interval.extras
 
 
 class TestArtifacts:

@@ -166,6 +166,18 @@ class TestExportWithColdTier:
             )
         assert fresh.misses == 0  # every row really was preloaded
 
+    def test_absorb_skips_rows_already_spilled(self, cycle):
+        oracle = DistanceOracle(cycle, max_bytes=2 * row_bytes(cycle))
+        oracle.prefetch(range(6))
+        assert oracle.memory_stats()["cold_entries"] == 4  # rows 0..3 went cold
+        donor = DistanceOracle(cycle)
+        donor.prefetch([0])
+        oracle.absorb_state(donor.export_state())
+        sources = oracle.export_state()["dist_sources"].tolist()
+        assert sorted(sources) == list(range(6))  # row 0 held once, not twice
+        assert oracle.preloaded == 0
+        oracle.clear()
+
     def test_clear_resets_tiers_but_keeps_counters(self, cycle):
         oracle = DistanceOracle(cycle, max_bytes=2 * row_bytes(cycle))
         for s in range(8):

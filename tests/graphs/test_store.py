@@ -118,6 +118,24 @@ class TestDiskSpill:
         )
         assert loaded.oracle.misses == 0  # zero BFS repeated, hop table included
 
+    def test_rows_that_went_cold_still_trigger_a_spill(self, tmp_path):
+        # Under a 2-row budget the new rows push older ones to the cold
+        # tier, so the hot count never grows; the spill must still notice.
+        row = generators.cycle_graph(64).num_nodes * 4
+        store = GraphStore(spill_dir=tmp_path, oracle_max_bytes=2 * row)
+        entry = store.instance("ring", 64, 7, _ring)
+        try:
+            entry.oracle.prefetch([0, 1])
+            assert store.spill() == 1
+            entry.oracle.prefetch(range(2, 10))
+            assert store.spill() == 1
+            assert store.spill() == 0  # nothing new since
+            (path,) = tmp_path.glob("*.spill")
+            on_disk = load_oracle_spill(path)["dist_sources"]
+            assert sorted(on_disk.tolist()) == list(range(10))
+        finally:
+            entry.oracle.clear()
+
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         writer = GraphStore(spill_dir=tmp_path)
         entry = writer.instance("ring", 64, 7, _ring)
