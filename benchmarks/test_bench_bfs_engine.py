@@ -16,9 +16,17 @@ the speedup ratio is informational) and the pre-direction-
 optimizing engine (the CSR top-down kernel, still in the code as the
 hub-graph fallback), with a >= 2x acceptance gate on the latter.
 
-Run the acceptance-scale comparison manually with::
+``test_narrow_sweeps_scalar_run`` times sweeps from one to four sources on
+rings and paths, whose every level is narrow, against the same engine with
+those levels forced onto the padded kernel (>= 2x gate).  No release runs
+that comparator, so its ratio is the run's margin over the padded kernel,
+not a gain over earlier code; the ``bfs_narrow`` rows' ``engine_seconds``,
+trend-gated, are the regression guard.
 
-    PYTHONPATH=src python benchmarks/test_bench_bfs_engine.py
+The deque reference comes from the test suite, so run this file from the
+repository root; the acceptance-scale comparison runs manually with::
+
+    PYTHONPATH=src:. python benchmarks/test_bench_bfs_engine.py
 """
 
 import os
@@ -30,8 +38,8 @@ import pytest
 from bench_recording import append_record
 from repro.graphs import frontier as frontier_module
 from repro.graphs import generators, kernels
-from repro.graphs.distances import legacy_bfs_distances
 from repro.graphs.frontier import bfs_distances_many
+from tests.graphs.bfs_reference import legacy_bfs_distances
 
 #: Benchmark-size graph: large enough that the vectorized sweep dominates,
 #: small enough for the default test run.  (~10k nodes)
@@ -112,11 +120,10 @@ def _pre_direction_optimized(graph, sources):
     """
     saved = {
         name: getattr(frontier_module, name)
-        for name in ("_PAD_SLOT_BLOWUP", "_BOTTOM_UP_RATIO", "_SPARSE_FRONTIER_PADDED")
+        for name in ("_PAD_SLOT_BLOWUP", "_BOTTOM_UP_RATIO")
     }
     frontier_module._PAD_SLOT_BLOWUP = -1.0
     frontier_module._BOTTOM_UP_RATIO = 0
-    frontier_module._SPARSE_FRONTIER_PADDED = frontier_module._SPARSE_FRONTIER
     try:
         return bfs_distances_many(graph, sources)
     finally:
@@ -205,6 +212,85 @@ def _run_high_diameter_cases():
     # the committed pre-PR engine by >= 2x on every high-diameter instance.
     for row in results:
         assert row["baseline_speedup"] >= 2.0, results
+
+
+#: Narrow sweeps: (family, n, sources, rounds).  One source, or four spread
+#: round a ring, keep every frontier at two to eight keys, so each sweep is
+#: one long scalar run.  Each row has its own n, since the trend gate keys
+#: rows by n.  The padded comparator makes the 50k rows slow, so they get
+#: two rounds; the cheap four-source row gets five, so its ~10 ms
+#: ``engine_seconds`` reaches the host's floor for the trend gate.
+_NARROW_CASES = [
+    ("ring", 50000, [0], 2),
+    ("path", 49999, [24999], 2),
+    ("ring", 8192, [0, 2048, 4096, 6144], 5),
+]
+
+
+def _narrow_levels_padded(graph, sources):
+    """The same engine with every narrow level forced onto the padded kernel."""
+    saved = frontier_module._SPARSE_FRONTIER
+    frontier_module._SPARSE_FRONTIER = 0
+    try:
+        return bfs_distances_many(graph, sources)
+    finally:
+        frontier_module._SPARSE_FRONTIER = saved
+
+
+def test_narrow_sweeps_scalar_run():
+    """Ring/path sweeps of 1-4 sources: record, and gate >= 2x vs the padded kernel.
+
+    Pinned to the numpy backend, whose narrow levels are the scalar run; the
+    comparator is the padded kernel the same sweep would otherwise run on
+    every level.  That configuration is not what any earlier engine ran
+    (narrow levels used to go through a per-level scalar loop), so the ratio
+    does not measure the gain over earlier code, and it moves whenever the
+    padded kernel does.  The regression guard is the ``engine_seconds`` of
+    the ``bfs_narrow`` rows in ``BENCH_routing.json``, which the trend gate
+    compares against the committed baseline.
+    """
+    with kernels.use_backend("numpy"):
+        results = []
+        for family, n, sources, rounds in _NARROW_CASES:
+            graph = _highdiam_graph(family, n)
+            bfs_distances_many(graph, sources)  # builds the padded table
+            engine_best = padded_best = float("inf")
+            # Interleaved, so a slow spell of the host hits both sides.
+            for _ in range(rounds):
+                t0 = time.perf_counter()
+                padded = _narrow_levels_padded(graph, sources)
+                padded_best = min(padded_best, time.perf_counter() - t0)
+                t0 = time.perf_counter()
+                block = bfs_distances_many(graph, sources)
+                engine_best = min(engine_best, time.perf_counter() - t0)
+            np.testing.assert_array_equal(block, padded)
+            for row in {0, len(sources) - 1}:
+                np.testing.assert_array_equal(
+                    block[row], legacy_bfs_distances(graph, sources[row])
+                )
+            results.append(
+                {
+                    "n": n,
+                    "family": family,
+                    "sources": len(sources),
+                    "engine_seconds": round(engine_best, 4),
+                    "padded_seconds": round(padded_best, 4),
+                    "padded_speedup": round(padded_best / engine_best, 2),
+                }
+            )
+            print(
+                f"\nnarrow BFS on {family} n={n} ({len(sources)} sources): "
+                f"engine {engine_best:.4f}s, padded kernel {padded_best:.4f}s "
+                f"({padded_best / engine_best:.2f}x)"
+            )
+    append_record(
+        results,
+        benchmark="bfs_narrow",
+        mode="smoke",
+        config={"families": "ring/path", "note": "1-4 sources, best of 2 (n=8192: 5)"},
+    )
+    for row in results:
+        assert row["padded_speedup"] >= 2.0, results
 
 
 def main():  # pragma: no cover - manual acceptance run

@@ -4,16 +4,17 @@ Greedy routing only ever needs the distance *to a fixed target*, so the basic
 primitive is a single-source BFS returning a distance array; everything else
 (APSP matrices, eccentricities, diameters) is layered on top of it.
 
-Since the frontier-engine PR the public functions here are thin wrappers over
-:mod:`repro.graphs.frontier`, the vectorized level-synchronous BFS core:
-``bfs_distances`` and ``multi_source_bfs`` delegate to single-frontier sweeps
-and ``distance_matrix`` fills its rows in batches through
-:func:`repro.graphs.frontier.bfs_distances_many`.  The historical pure-Python
-``deque`` traversal is kept as ``legacy_bfs_distances`` — it is the
-readable reference implementation the property tests and the engine benchmark
-compare against, not a hot path.
+The public functions here are thin wrappers over :mod:`repro.graphs.frontier`,
+the vectorized level-synchronous BFS core: ``bfs_distances`` and
+``multi_source_bfs`` delegate to single-frontier sweeps and
+``distance_matrix`` fills its rows in batches through
+:func:`repro.graphs.frontier.bfs_distances_many`.  The pure-Python ``deque``
+traversal the engine must equal lives with the tests
+(``tests/graphs/bfs_reference.py``).
 
-Distances are returned as ``int64`` arrays with ``UNREACHABLE`` (-1) marking
+Distance rows come back in the engine's dtype
+(:func:`repro.graphs.frontier.bfs_dtype`: ``int32`` below ``2**31`` keys;
+:func:`distance_matrix` fills ``int64``), with ``UNREACHABLE`` (-1) marking
 nodes outside the source's connected component.
 
 Disconnected-graph contract
@@ -28,7 +29,6 @@ rely on that to find hard pairs without a connectivity precheck).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -41,20 +41,17 @@ from repro.graphs.frontier import (
     frontier_multi_source_bfs,
 )
 from repro.graphs.graph import Graph
-from repro.utils.validation import check_node_index
 
 __all__ = [
     "UNREACHABLE",
     "bfs_distances",
     "bfs_tree",
-    "legacy_bfs_tree",
     "multi_source_bfs",
     "distance_matrix",
     "eccentricity",
     "diameter",
     "farthest_node",
     "double_sweep_diameter_lower_bound",
-    "legacy_bfs_distances",
 ]
 
 #: Row-batch size used by :func:`distance_matrix`; bounds the flat frontier
@@ -79,35 +76,6 @@ def bfs_distances(graph: Graph, source: int, *, cutoff: Optional[int] = None) ->
     return frontier_bfs(graph, source, cutoff=cutoff)
 
 
-def legacy_bfs_distances(
-    graph: Graph, source: int, *, cutoff: Optional[int] = None
-) -> np.ndarray:
-    """Reference pure-Python ``deque`` BFS (the pre-frontier implementation).
-
-    Kept for the property tests and ``benchmarks/test_bench_bfs_engine.py``,
-    which assert the vectorized engine is bitwise identical and measure its
-    speedup.  Do not use on hot paths.
-    """
-    source = check_node_index(source, graph.num_nodes, "source")
-    indptr = graph.indptr
-    indices = graph.indices
-    dist = np.full(graph.num_nodes, UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
-    if cutoff is not None and cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if cutoff is not None and du >= cutoff:
-            continue
-        for v in indices[indptr[u]: indptr[u + 1]]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = du + 1
-                queue.append(int(v))
-    return dist
-
-
 def bfs_tree(graph: Graph, source: int) -> Tuple[np.ndarray, np.ndarray]:
     """BFS distances and parent pointers from *source*.
 
@@ -115,38 +83,11 @@ def bfs_tree(graph: Graph, source: int) -> Tuple[np.ndarray, np.ndarray]:
     ``parent[v] == -1`` for unreachable nodes.
 
     Runs on the vectorized frontier engine
-    (:func:`repro.graphs.frontier.frontier_bfs_tree`), whose first-occurrence
-    dedup reproduces the classic queue traversal's parent assignment bitwise
-    (the property tests compare against :func:`legacy_bfs_tree`).
+    (:func:`repro.graphs.frontier.frontier_bfs_tree`), whose discovery-order
+    expansion reproduces the classic queue traversal's parent assignment
+    bitwise (the property tests compare against the deque reference).
     """
     return frontier_bfs_tree(graph, source)
-
-
-def legacy_bfs_tree(graph: Graph, source: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Reference pure-Python ``deque`` BFS tree (the pre-engine implementation).
-
-    The parent array depends on the intra-level visit order; the frontier
-    engine's :func:`bfs_tree` reproduces this deterministic queue order
-    exactly, and the property tests assert the two are bitwise identical.
-    Do not use on hot paths.
-    """
-    source = check_node_index(source, graph.num_nodes, "source")
-    indptr = graph.indptr
-    indices = graph.indices
-    dist = np.full(graph.num_nodes, UNREACHABLE, dtype=np.int64)
-    parent = np.full(graph.num_nodes, -1, dtype=np.int64)
-    dist[source] = 0
-    parent[source] = source
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in indices[indptr[u]: indptr[u + 1]]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = du + 1
-                parent[v] = u
-                queue.append(int(v))
-    return dist, parent
 
 
 def multi_source_bfs(graph: Graph, sources: Iterable[int]) -> np.ndarray:

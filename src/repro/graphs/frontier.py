@@ -8,20 +8,23 @@ frontier of a level at once with numpy primitives, and **picks an expansion
 kernel per level** based on the frontier's size relative to the remaining
 unvisited set:
 
-* **sparse** — frontiers of a handful of nodes are expanded with a scalar
-  loop; the fixed per-level cost of any numpy pass exceeds the ~1µs/edge
-  scalar cost when only a few edges are scanned.
-* **top-down, padded** — the workhorse.  Neighbour gathering runs over a
-  *self-padded* adjacency table ``pad[u] = [CSR neighbours of u, then u
-  itself]`` of shape ``(n, max_degree)``: one 2-D ``take`` replaces the whole
-  ``repeat``/``cumsum``/``arange`` CSR gather, and the padding slots cost
-  nothing downstream because they point back at the (always already visited)
-  owner and fall to the visited mask.  Only built when padding cannot blow
-  the slot count up much beyond the true arc count — i.e. for the
-  low-degree-variance families (paths, rings, grids, tori, trees) whose
-  25k-level sweeps used to be bounded by the fixed cost of the ~20 numpy
-  calls the CSR gather needs per level.  Roughly halves the per-level cost,
-  which is exactly the regime the ROADMAP flagged for ring/path topologies.
+* **scalar run** — once a frontier is down to a handful of keys, the engine
+  stays in one plain Python loop across consecutive narrow levels.  The
+  frontier is a list; neighbours are read (from the padded table below, or
+  the CSR arrays where padding is rejected) and distances stamped through
+  memoryviews — Python ints, no numpy scalars, no per-level array
+  conversion — so a narrow level costs its edge probes, not the fixed
+  dispatch cost of a numpy pass.  The run hands a numpy frontier back when
+  the frontier widens, when the bottom-up trigger would fire, or at the
+  cutoff.  A ring/path sweep from a few sources (about ``n / 2`` levels of a
+  few keys each) is one run from start to end.
+* **top-down, padded** — the workhorse for wider levels.  A slot-major padded
+  *delta* adjacency (:func:`_padded_neighbors`) turns the neighbour gather
+  into one 2-D ``take`` plus one broadcast add, and its padding slots point
+  back at their (always already visited) owner, so they fall to the visited
+  mask.  Built only for low-degree-variance families (paths, rings, grids,
+  tori, trees), where it costs about half the ~20 numpy calls per level of
+  the CSR gather.
 * **top-down, CSR** — the original gather (``np.repeat`` over range starts +
   a flat ``arange`` offset trick) for hub-dominated graphs (stars, lollipop
   heads) where padding is rejected.
@@ -102,15 +105,15 @@ def bfs_dtype(num_keys: int) -> np.dtype:
         return np.dtype(np.int64)
     return np.dtype(np.int32)
 
-#: Frontiers at or below this size are expanded with a scalar loop instead of
-#: the vectorized gather: the fixed per-level cost of the numpy path (~15µs)
-#: exceeds the ~1µs/edge scalar cost when only a handful of edges are scanned.
-#: The padded top-down kernel has less than half the CSR gather's fixed cost,
-#: so where it applies the scalar loop only wins on even tinier frontiers —
-#: the long wind-down tails of ring/path sweeps sit exactly in the 9..32 band
-#: where the scalar loop used to cost 3-4x the lean kernel.
+#: Frontiers at or below this size run in the scalar loop instead of a numpy
+#: kernel.  A scalar level costs its edge probes (~0.4µs per ring key through
+#: the padded table); a numpy level costs ~10µs (padded) or ~20µs (CSR)
+#: whatever the frontier.  One threshold serves both: on a 2-vCPU host 32
+#: against 16 on padded graphs tied end to end (perfbench sweep_route) and
+#: won in process where frontiers sit between the two (12-source ring
+#: n=8192: 28 against 41 ms).  It stays below 64, so the 32-source ring rows
+#: of ``benchmarks/test_bench_bfs_engine.py`` still time the numpy kernels.
 _SPARSE_FRONTIER: int = 32
-_SPARSE_FRONTIER_PADDED: int = 8
 
 #: The self-padded adjacency is built only when ``n * max_degree`` stays
 #: within this factor of the true arc count (plus a small-graph slack) —
@@ -168,27 +171,24 @@ def _padded_neighbors(graph: Graph, dtype: np.dtype = np.dtype(np.int32)) -> Opt
 
     ``pad[j, u]`` is ``v - u`` for ``u``'s ``j``-th CSR neighbour ``v``, and
     ``0`` in the padding slots.  Two properties make this the cheapest
-    possible gather for the frontier kernels:
+    gather for both the padded kernel and the scalar run:
 
     * **deltas**: a neighbour's flat key is ``key(u) + (v - u)`` for any row
       offset, so one row-wise broadcast add over the gathered delta block
-      turns node ids into batched keys — no per-entry row-offset column
-      (numpy's broadcast machinery is several times slower when the
-      broadcast axis is the tiny inner one).
+      (or one int add per slot in the scalar run) turns node ids into
+      batched keys — no per-entry row-offset column.
     * **self-padding**: a padding slot (delta 0) yields the owner's own key,
       which is always already visited (distance stamped), so the pads vanish
-      under the exact same visited mask that filters real revisits — no
+      under the exact same visited test that filters real revisits — no
       sentinel handling at all.
 
     Built only when ``n * max_degree`` stays near the true arc count (see
     :data:`_PAD_SLOT_BLOWUP`) and memoised on the graph's
     :meth:`~repro.graphs.graph.Graph.derived_cache` (graphs are immutable),
-    so the table is built once per instance no matter how many sweeps run
-    over it.  The table is built in the sweep's state *dtype* (so the
-    in-place delta-to-key broadcast never crosses dtypes); the ``int32``
-    table lives under :data:`_PAD_CACHE_KEY` — the common case — and the
-    rare ``int64`` variant (key spaces past ``2**31``, or the forced
-    reference path) under its own suffixed key.
+    so it is built once per instance, in the sweep's state *dtype* (the
+    delta-to-key add never crosses dtypes): the ``int32`` table under
+    :data:`_PAD_CACHE_KEY`, the rare ``int64`` one (key spaces past
+    ``2**31``, or the forced reference path) under a suffixed key.
     """
     cache = graph.derived_cache()
     dtype = np.dtype(dtype)
@@ -326,8 +326,9 @@ def _sweep(graph: Graph, rows: int, frontier: np.ndarray, cutoff: Optional[int])
     seeds) and :func:`bfs_distances_many` (one row per source): owns the flat
     ``rows·n`` distance buffer and makes the per-level kernel choice
     described in the module docstring.  The body is one flat loop with
-    hoisted locals on purpose — on a 25k-level ring sweep even attribute
-    lookups and method dispatch are measurable against the ~10µs levels.
+    hoisted locals on purpose: a narrow level of a ring sweep costs about a
+    microsecond in the scalar run, so even attribute lookups and method
+    dispatch are measurable against it.
 
     All kernels stamp identical levels (BFS distances are intra-level
     order-independent), so the per-level choice can never change the output
@@ -356,9 +357,11 @@ def _sweep(graph: Graph, rows: int, frontier: np.ndarray, cutoff: Optional[int])
     bu_cand: Optional[np.ndarray] = None  # unvisited key set while bottom-up
     bu_mask: Optional[np.ndarray] = None  # bit-packed previous frontier (bottom-up only)
     pad = _padded_neighbors(graph, dt)
-    sparse_limit = _SPARSE_FRONTIER if pad is None else _SPARSE_FRONTIER_PADDED
+    sparse_limit = _SPARSE_FRONTIER
     claim: Optional[np.ndarray] = None
     slots_buf: Optional[np.ndarray] = None
+    dv: Optional[memoryview] = None  # scalar-run views, made on first use
+    bu_ratio = _BOTTOM_UP_RATIO
     min_bu = total >> _BOTTOM_UP_MIN_SHIFT
     level = 0
     while frontier.size and (cutoff is None or level < cutoff):
@@ -366,7 +369,7 @@ def _sweep(graph: Graph, rows: int, frontier: np.ndarray, cutoff: Optional[int])
         f = frontier.size
         # --- direction switch -------------------------------------------- #
         if bu_cand is not None:
-            if f * _BOTTOM_UP_RATIO > bu_cand.size:
+            if f * bu_ratio > bu_cand.size:
                 prev = frontier
                 frontier, bu_cand = _bottom_up_level(
                     graph, rows, dist, bu_cand, pad, level, bu_mask, kb
@@ -377,7 +380,7 @@ def _sweep(graph: Graph, rows: int, frontier: np.ndarray, cutoff: Optional[int])
             unvisited = int(bu_cand.size)  # revert: the frontier stays exact
             bu_cand = None
             bu_mask = None
-        elif f * _BOTTOM_UP_RATIO > unvisited and f >= min_bu:
+        elif f * bu_ratio > unvisited and f >= min_bu:
             # Materialise the unvisited key set (one O(rows·n) pass,
             # amortised by the trigger's minimum-frontier-size guard);
             # degree-0 keys can never be discovered and are dropped for good.
@@ -408,19 +411,52 @@ def _sweep(graph: Graph, rows: int, frontier: np.ndarray, cutoff: Optional[int])
             else:
                 frontier = kb.top_down_csr(indptr, indices, dist, frontier, n, level)
         elif f <= sparse_limit:
-            # Tiny frontier: plain Python loop, distances stamped (and
-            # thereby deduplicated) as we go.
-            nxt: list = []
-            append = nxt.append
-            for key in frontier.tolist():
-                node = key % n
-                base = key - node
-                for v in indices[indptr[node]: indptr[node + 1]].tolist():
-                    nbr_key = base + v
-                    if dist[nbr_key] == UNREACHABLE:
-                        dist[nbr_key] = level
-                        append(nbr_key)
-            frontier = np.asarray(nxt, dtype=dt)
+            # Scalar run: stay in this loop, frontier as a list, for as many
+            # narrow levels as follow.  Distances are stamped (and thereby
+            # deduplicated) as we go; a negative word is unreached.
+            if dv is None:
+                dv = memoryview(dist)
+                if pad is not None:
+                    slot_views = [memoryview(slot) for slot in pad]
+                else:
+                    ip, ix = memoryview(indptr), memoryview(indices)
+            cur = frontier.tolist()
+            while True:
+                nxt: list = []
+                append = nxt.append
+                if pad is None:
+                    for key in cur:
+                        node = key % n
+                        base = key - node
+                        for v in ix[ip[node]: ip[node + 1]]:
+                            v += base
+                            if dv[v] < 0:
+                                dv[v] = level
+                                append(v)
+                else:
+                    # A neighbour's key is the key plus its padded delta; a
+                    # pad slot (delta 0) gives the key itself, stamped.
+                    for key in cur:
+                        node = key % n
+                        for slot in slot_views:
+                            v = key + slot[node]
+                            if dv[v] < 0:
+                                dv[v] = level
+                                append(v)
+                cur = nxt
+                f = len(cur)
+                unvisited -= f
+                # Hand back to the numpy kernels where the outer loop would
+                # leave the scalar one: the sweep or the radius ends, the
+                # frontier widens, or the bottom-up trigger fires.
+                if (
+                    not f or level == cutoff or f > sparse_limit
+                    or (f * bu_ratio > unvisited and f >= min_bu)
+                ):
+                    break
+                level += 1
+            frontier = np.asarray(cur, dtype=dt)
+            continue
         else:
             if pad is not None:
                 # Lean kernel: one slot-major take over the padded *delta*
@@ -430,8 +466,8 @@ def _sweep(graph: Graph, rows: int, frontier: np.ndarray, cutoff: Optional[int])
                 # visited owners) and real revisits together, and one
                 # scatter/gather claim pass keeps each distinct survivor
                 # once.  Less than half the numpy calls of the CSR gather,
-                # which is what lifts the high-diameter (ring/path) sweeps
-                # whose cost is all per-level fixed overhead.
+                # which is what lifts batched ring/path sweeps, whose wide
+                # levels cost only per-level fixed overhead.
                 nodes = frontier % n if multi else frontier
                 nbrs = pad.take(nodes, axis=1)
                 nbrs += frontier
@@ -478,14 +514,15 @@ def frontier_bfs_tree(graph: Graph, source: int) -> Tuple[np.ndarray, np.ndarray
 
     Returns ``(dist, parent)`` with ``parent[source] == source`` and ``-1``
     outside the source's component.  Parent assignment is bitwise identical to
-    the classic queue traversal (``legacy_bfs_tree`` in
-    :mod:`repro.graphs.distances`): within a level the frontier is expanded in
-    discovery order with CSR-ordered neighbour lists, and the
-    first-occurrence dedup keeps the earliest discoverer of every node —
-    exactly the node that would have popped first from the deque.  Unlike the
-    distance-only sweeps, parent pointers *do* depend on that discovery
-    order, so this traversal never takes the bottom-up kernel (which visits
-    candidates in key order, not discovery order) and stays top-down.
+    the classic queue traversal (the deque reference in
+    ``tests/graphs/bfs_reference.py``): within a level the frontier is
+    expanded in discovery order with CSR-ordered neighbour lists, and the
+    first stamp (scalar run) or first-occurrence dedup (wide levels) keeps
+    the earliest discoverer of every node — exactly the node that would have
+    popped first from the deque.  Unlike the distance-only sweeps, parent
+    pointers *do* depend on that discovery order, so this traversal never
+    takes the bottom-up kernel (which visits candidates in key order, not
+    discovery order) and stays top-down.
     """
     source = check_node_index(source, graph.num_nodes, "source")
     n = graph.num_nodes
@@ -497,21 +534,29 @@ def frontier_bfs_tree(graph: Graph, source: int) -> Tuple[np.ndarray, np.ndarray
     dist[source] = 0
     parent[source] = source
     frontier = np.asarray([source], dtype=dt)
+    ip, ix = memoryview(indptr), memoryview(indices)
+    dv, pv = memoryview(dist), memoryview(parent)
     claim: Optional[np.ndarray] = None
     level = 0
     while frontier.size:
-        level += 1
         if frontier.size <= _SPARSE_FRONTIER:
-            nxt: list = []
-            append = nxt.append
-            for u in frontier.tolist():
-                for v in indices[indptr[u]: indptr[u + 1]].tolist():
-                    if dist[v] == UNREACHABLE:
-                        dist[v] = level
-                        parent[v] = u
-                        append(v)
-            frontier = np.asarray(nxt, dtype=dt)
+            # Scalar run, as in _sweep: the list keeps discovery order, so
+            # the first stamp of a node is its queue-order parent.
+            cur = frontier.tolist()
+            while cur and len(cur) <= _SPARSE_FRONTIER:
+                level += 1
+                nxt: list = []
+                append = nxt.append
+                for u in cur:
+                    for v in ix[ip[u]: ip[u + 1]]:
+                        if dv[v] < 0:
+                            dv[v] = level
+                            pv[v] = u
+                            append(v)
+                cur = nxt
+            frontier = np.asarray(cur, dtype=dt)
         else:
+            level += 1
             neighbors, counts = _gather_neighbors(indptr, indices, frontier)
             owners = np.repeat(frontier, counts)
             unvisited = dist[neighbors] == UNREACHABLE
@@ -565,9 +610,7 @@ def bfs_distances_many(
     ``k·n`` distance buffer.  One iteration of the loop expands the combined
     frontier of *every* source — with the per-level kernel switch described in
     the module docstring — so the per-level Python overhead is amortised
-    across the whole batch; on high-diameter instances (rings, paths) the
-    padded top-down kernel roughly halves the fixed per-level cost on top of
-    that (see ``benchmarks/test_bench_bfs_engine.py``).
+    across the whole batch.
 
     Duplicate sources are allowed and each row is an independent BFS, bitwise
     identical to ``bfs_distances(graph, s, cutoff=cutoff)`` for its source.

@@ -150,7 +150,7 @@ class TestAggregates:
 
 class TestLegacyReference:
     def test_legacy_matches_engine(self, small_graphs):
-        from repro.graphs.distances import legacy_bfs_distances
+        from tests.graphs.bfs_reference import legacy_bfs_distances
 
         for g in small_graphs:
             for source in range(0, g.num_nodes, 2):
@@ -187,7 +187,7 @@ class TestBfsTreeEngine:
         return graphs
 
     def test_matches_legacy_on_portfolio(self):
-        from repro.graphs.distances import legacy_bfs_tree
+        from tests.graphs.bfs_reference import legacy_bfs_tree
 
         for g in self._portfolio():
             for source in range(0, g.num_nodes, max(1, g.num_nodes // 7)):
@@ -198,7 +198,7 @@ class TestBfsTreeEngine:
 
     def test_wide_frontier_takes_vectorized_path(self):
         # A star's first frontier has n-1 nodes, well past the sparse cutoff.
-        from repro.graphs.distances import legacy_bfs_tree
+        from tests.graphs.bfs_reference import legacy_bfs_tree
 
         g = generators.star_graph(200)
         dist_fast, parent_fast = bfs_tree(g, 0)

@@ -13,35 +13,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import frontier as frontier_module
-from repro.graphs import generators
-from repro.graphs.distances import (
-    UNREACHABLE,
-    bfs_distances,
-    legacy_bfs_distances,
-    multi_source_bfs,
-)
+from repro.graphs import generators, kernels
+from repro.graphs.distances import UNREACHABLE, bfs_distances, multi_source_bfs
 from repro.graphs.frontier import (
     bfs_distances_many,
     frontier_bfs,
     frontier_multi_source_bfs,
 )
 from repro.graphs.graph import Graph
+from tests.graphs.bfs_reference import legacy_bfs_distances
 
 #: Knob settings that force each of the direction-optimizing engine's
 #: kernels onto (almost) every level, so the bitwise-equality tests pin all
 #: of them individually — not just whichever the heuristics would pick.
 KERNEL_CONFIGS = {
-    "padded": {"_PAD_SLOT_BLOWUP": 1e9, "_SPARSE_FRONTIER_PADDED": 0, "_BOTTOM_UP_RATIO": 0},
+    "padded": {"_PAD_SLOT_BLOWUP": 1e9, "_SPARSE_FRONTIER": 0, "_BOTTOM_UP_RATIO": 0},
     "csr": {"_PAD_SLOT_BLOWUP": -1.0, "_SPARSE_FRONTIER": 0, "_BOTTOM_UP_RATIO": 0},
-    "sparse": {
-        "_SPARSE_FRONTIER": 10**9, "_SPARSE_FRONTIER_PADDED": 10**9, "_BOTTOM_UP_RATIO": 0,
-    },
+    "sparse": {"_SPARSE_FRONTIER": 10**9, "_BOTTOM_UP_RATIO": 0},
     "bottom_up_padded": {
         "_PAD_SLOT_BLOWUP": 1e9, "_BOTTOM_UP_RATIO": 10**9, "_BOTTOM_UP_MIN_SHIFT": 63,
     },
     "bottom_up_csr": {
         "_PAD_SLOT_BLOWUP": -1.0, "_BOTTOM_UP_RATIO": 10**9, "_BOTTOM_UP_MIN_SHIFT": 63,
     },
+    # A low scalar-run threshold with the default direction switch: sweeps on
+    # grids, tori, the lollipop and the star enter and leave scalar runs
+    # mid-sweep, handing off to and from both top-down kernels and bottom-up.
+    "scalar_handoff": {"_SPARSE_FRONTIER": 6},
 }
 
 
@@ -85,6 +83,8 @@ def graph_portfolio():
         generators.cycle_graph(24),
         generators.grid_graph([5, 7]),
         generators.grid_graph([3, 4, 5]),
+        generators.torus_graph([6, 7]),
+        generators.lollipop_graph(8, 20),
         generators.binary_tree(31),
         generators.random_tree(64, seed=11),
         generators.star_graph(20),
@@ -397,3 +397,153 @@ class TestDtypeParity:
         with _forced_int64():
             wide = frontier_multi_source_bfs(graph, [0, 40, 80])
         np.testing.assert_array_equal(narrow, wide)
+
+
+class _recording:
+    """Context manager wrapping a frontier-module function to log its calls."""
+
+    def __init__(self, name, record):
+        self.name = name
+        self.record = record
+
+    def __enter__(self):
+        self.saved = getattr(frontier_module, self.name)
+        saved, record = self.saved, self.record
+
+        def wrapper(*args, **kwargs):
+            out = saved(*args, **kwargs)
+            record(args, out)
+            return out
+
+        setattr(frontier_module, self.name, wrapper)
+        return self
+
+    def __exit__(self, *exc):
+        setattr(frontier_module, self.name, self.saved)
+
+
+class TestScalarRun:
+    """Narrow levels run as one scalar loop that hands wide levels back.
+
+    A run stays in Python across consecutive levels whose frontier is at or
+    below the sparse threshold, and returns to the numpy kernels when the
+    frontier widens, when the bottom-up trigger fires, at the cutoff and at
+    the end of the sweep.  These tests pin each exit and the run's stamps.
+
+    The run is the numpy backend's narrow-level path (a compiled backend
+    expands every level in its own typed loop and never gathers through
+    ``_gather_neighbors``), so the class pins that backend: the tests that
+    record the numpy gather's calls would see none under ``numba``.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _numpy_backend(self):
+        with kernels.use_backend("numpy"):
+            yield
+
+    def test_cutoff_inside_run_with_duplicate_sources(self):
+        # Four rows of two keys each stay under the padded threshold, so the
+        # whole sweep is one run and every cutoff lands inside it.
+        graph = generators.cycle_graph(300)
+        sources = [5, 5, 150, 5]
+        for cutoff in (1, 2, 3, 40, 149, 151):
+            block = bfs_distances_many(graph, sources, cutoff=cutoff)
+            np.testing.assert_array_equal(block[0], block[1])
+            np.testing.assert_array_equal(block[0], block[3])
+            for row, source in enumerate(sources):
+                np.testing.assert_array_equal(
+                    block[row], legacy_bfs_distances(graph, source, cutoff=cutoff)
+                )
+
+    def test_cutoff_inside_run_after_handoff(self):
+        # From a lollipop's clique the first level is wide (one numpy level
+        # between two runs) and the rest walk the tail, so every cutoff past
+        # level 2 lands in the second run.
+        graph = generators.lollipop_graph(8, 40)
+        sources = [0, 0, 7]
+        for cutoff in (3, 10, 30):
+            widths = []
+            with _forced_kernel("scalar_handoff"):
+                with _recording("_gather_neighbors", lambda args, out: widths.append(args[2].size)):
+                    block = bfs_distances_many(graph, sources, cutoff=cutoff)
+            assert widths == [22]
+            for row, source in enumerate(sources):
+                np.testing.assert_array_equal(
+                    block[row], legacy_bfs_distances(graph, source, cutoff=cutoff)
+                )
+
+    @pytest.mark.parametrize(
+        "graph",
+        [generators.cycle_graph(257), generators.path_graph(200), generators.random_tree(150, seed=3)],
+        ids=lambda g: g.name,
+    )
+    def test_int64_state_through_the_run(self, graph):
+        sources = [0, graph.num_nodes // 2, graph.num_nodes // 2]
+        with _forced_int64():
+            single = frontier_bfs(graph, sources[1])
+            block = bfs_distances_many(graph, sources)
+            cut = bfs_distances_many(graph, sources, cutoff=7)
+        assert single.dtype == block.dtype == np.dtype(np.int64)
+        np.testing.assert_array_equal(single, legacy_bfs_distances(graph, sources[1]))
+        for row, source in enumerate(sources):
+            np.testing.assert_array_equal(block[row], legacy_bfs_distances(graph, source))
+            np.testing.assert_array_equal(
+                cut[row], legacy_bfs_distances(graph, source, cutoff=7)
+            )
+        np.testing.assert_array_equal(block, bfs_distances_many(graph, sources))
+
+    def test_wide_levels_leave_the_run(self):
+        # With the CSR kernel and no bottom-up, the numpy gather must see
+        # exactly the frontiers wider than the threshold: every narrow level
+        # stays in a run, and every wide one leaves it.
+        graph = generators.grid_graph([12, 13])
+        expected = legacy_bfs_distances(graph, 0)
+        level_sizes = np.bincount(expected)
+        seen = []
+        graph.derived_cache().clear()
+        with _forced_kernel("csr"), _forced_kernel("scalar_handoff"):
+            with _recording("_gather_neighbors", lambda args, out: seen.append(args[2].size)):
+                got = frontier_bfs(graph, 0)
+        np.testing.assert_array_equal(got, expected)
+        assert seen == [int(size) for size in level_sizes if size > 6]
+        assert seen, "the sweep never widened past the threshold"
+
+    def test_bottom_up_trigger_fires_inside_a_run(self):
+        # A path into a triangle and one last node: from node 0 every level
+        # is narrow, and after the triangle (3 keys, 1 unvisited) the
+        # trigger fires, so the bottom-up kernel finds node 13.
+        edges = [(i, i + 1) for i in range(9)]
+        edges += [(9, 10), (9, 11), (9, 12), (10, 11), (11, 12), (10, 12), (12, 13)]
+        graph = Graph.from_edges(14, edges, name="path-into-triangle")
+        found = []
+        with _recording("_bottom_up_level", lambda args, out: found.append((args[5], out[0].tolist()))):
+            got = frontier_bfs(graph, 0)
+        np.testing.assert_array_equal(got, legacy_bfs_distances(graph, 0))
+        assert found and found[0] == (11, [13])
+
+    def test_sweep_adds_only_the_padded_table_to_the_derived_cache(self):
+        for graph in (generators.cycle_graph(500), generators.star_graph(50)):
+            graph.derived_cache().clear()
+            frontier_bfs(graph, 3)
+            bfs_distances_many(graph, [0, 1, 1], cutoff=5)
+            assert set(graph.derived_cache()) == {frontier_module._PAD_CACHE_KEY}
+        graph = generators.path_graph(300)
+        graph.derived_cache().clear()
+        from repro.graphs.frontier import frontier_bfs_tree
+
+        frontier_bfs_tree(graph, 150)
+        assert graph.derived_cache() == {}
+
+    @pytest.mark.parametrize("graph", graph_portfolio(), ids=lambda g: g.name)
+    def test_tree_parents_across_run_handoffs(self, graph, monkeypatch):
+        # A threshold of 2 makes tree sweeps leave and re-enter their scalar
+        # runs; parents must stay the deque's first discoverers.
+        from repro.graphs.frontier import frontier_bfs_tree
+        from tests.graphs.bfs_reference import legacy_bfs_tree
+
+        monkeypatch.setattr(frontier_module, "_SPARSE_FRONTIER", 2)
+        for source in range(0, graph.num_nodes, 5):
+            dist, parent = frontier_bfs_tree(graph, source)
+            dist_ref, parent_ref = legacy_bfs_tree(graph, source)
+            np.testing.assert_array_equal(dist, dist_ref)
+            np.testing.assert_array_equal(parent, parent_ref)

@@ -24,10 +24,10 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments.config import ExperimentConfig
 from repro.graphs import frontier as frontier_module
 from repro.graphs import generators, kernels
-from repro.graphs.distances import legacy_bfs_distances
 from repro.graphs.frontier import bfs_distances_many, frontier_bfs
 from repro.graphs.graph import Graph
 from repro.graphs.oracle import next_local_pointers, next_local_pointers_many
+from tests.graphs.bfs_reference import legacy_bfs_distances
 
 HAVE_NUMBA = "numba" in kernels.available_backends()
 

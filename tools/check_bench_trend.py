@@ -89,6 +89,7 @@ KIND_GATED_METRICS = {
     "serve_latency": {"p99_ms": False},
     "approx_distance": {"warmup_seconds": False, "mean_stretch": False},
     "min_fill": {"seconds": False},
+    "bfs_narrow": {"engine_seconds": False},
 }
 
 
