@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -245,13 +246,24 @@ def write_cell_artifact(directory: Union[str, Path], artifact: CellArtifact) -> 
 
     The write goes through a temporary file + rename so a crashed sweep never
     leaves a half-written artifact that a later ``--resume`` would trust.
+    Each write gets a temporary file of its own: two ``--shard`` workers
+    write the same cell when a lease goes stale under a live holder, and a
+    shared name would let one rename the other's file away mid-write.  Its
+    name does not end in ``.json``, so :func:`iter_cell_artifacts` never
+    reads it.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / artifact.filename()
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(artifact.to_json() + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(artifact.to_json() + "\n")
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():  # failed write: do not leave temp litter behind
+            tmp.unlink()
     return path
 
 

@@ -25,7 +25,7 @@ from repro.core.base import AugmentationScheme, AugmentedGraph
 from repro.core.uniform import UniformScheme
 from repro.core.kleinberg import DistancePowerScheme
 from repro.core.matrix import AugmentationMatrix, MatrixScheme
-from repro.core.matrix_label import Theorem2Scheme, ancestor_matrix, theorem2_matrix
+from repro.core.matrix_label import Theorem2Scheme
 from repro.core.ball_scheme import BallScheme
 from repro.core.registry import make_scheme, available_schemes
 
@@ -37,8 +37,6 @@ __all__ = [
     "AugmentationMatrix",
     "MatrixScheme",
     "Theorem2Scheme",
-    "ancestor_matrix",
-    "theorem2_matrix",
     "BallScheme",
     "make_scheme",
     "available_schemes",

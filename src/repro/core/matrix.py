@@ -28,6 +28,7 @@ from repro.utils.validation import check_node_index, check_positive_int
 
 __all__ = [
     "AugmentationMatrix",
+    "LabelGroups",
     "MatrixScheme",
     "uniform_matrix",
     "harmonic_label_matrix",
@@ -157,6 +158,41 @@ def block_diffusion_matrix(size: int, block: int) -> AugmentationMatrix:
 # The scheme driven by a matrix + labeling
 # --------------------------------------------------------------------------- #
 
+class LabelGroups:
+    """The nodes of each label, for Definition 1's uniform pick within a label.
+
+    One stable argsort of the labels (``order``) and the end of each label's
+    run in it (``bounds[j]`` = number of nodes labeled at most ``j``), so
+    the nodes labeled ``j`` are ``order[bounds[j-1]:bounds[j]]``, in id
+    order.  Labels lie in ``{1, …, size}``; both label schemes sample
+    through one index built from their labeling.
+    """
+
+    def __init__(self, labels: np.ndarray, size: int) -> None:
+        self._order = np.argsort(labels, kind="stable")
+        self._bounds = np.searchsorted(
+            labels[self._order], np.arange(size + 1), side="right"
+        )
+
+    def members(self, label: int) -> np.ndarray:
+        """Nodes labeled *label* in id order (empty for unused labels); a view."""
+        if not 1 <= label < self._bounds.size:
+            return self._order[:0]
+        return self._order[self._bounds[label - 1]: self._bounds[label]]
+
+    def pick(self, labels: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """The ``⌊u·|group|⌋``-th node labeled ``j``, for each label ``j`` and uniform ``u``.
+
+        ``NO_CONTACT`` where ``j`` is 0 (no link drawn) or no node carries it.
+        """
+        start = self._bounds[labels - 1]
+        size = self._bounds[labels] - start
+        hit = (labels > 0) & (size > 0)
+        out = np.full(labels.shape, NO_CONTACT, dtype=np.int64)
+        out[hit] = self._order[start[hit] + (uniforms[hit] * size[hit]).astype(np.int64)]
+        return out
+
+
 class MatrixScheme(AugmentationScheme):
     """Augmentation scheme defined by an :class:`AugmentationMatrix` and a labeling.
 
@@ -203,11 +239,8 @@ class MatrixScheme(AugmentationScheme):
                     f"got range [{labels_arr.min()}, {labels_arr.max()}]"
                 )
         self._labels = labels_arr
-        self._groups: Dict[int, np.ndarray] = {}
-        for node, label in enumerate(self._labels):
-            self._groups.setdefault(int(label), []).append(node)  # type: ignore[arg-type]
-        self._groups = {label: np.asarray(nodes, dtype=np.int64) for label, nodes in self._groups.items()}
-        # Precompute cumulative rows for fast sampling.
+        self._groups = LabelGroups(labels_arr, matrix.size)
+        # Cumulative matrix rows, one per source label, built on first use.
         self._cumulative: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
@@ -225,7 +258,7 @@ class MatrixScheme(AugmentationScheme):
 
     def nodes_with_label(self, label: int) -> np.ndarray:
         """Sorted array of nodes carrying the (1-based) *label*."""
-        return self._groups.get(int(label), np.zeros(0, dtype=np.int64)).copy()
+        return self._groups.members(int(label)).copy()
 
     def describe(self) -> str:
         return (
@@ -254,16 +287,13 @@ class MatrixScheme(AugmentationScheme):
         Stage 1 groups the batch by *source* label and turns ``uniforms[0]``
         into each entry's target label by ``searchsorted`` into the cached
         cumulative matrix row (values past the row's total mass are
-        Definition 1's sub-stochastic residual — no link).  Stage 2 groups
-        the survivors by *target* label and picks a uniform member of each
-        label group with ``uniforms[1]``.  Each entry consumes only its own
+        Definition 1's sub-stochastic residual — no link).  Stage 2 picks a
+        uniform member of each target label's group with ``uniforms[1]``
+        (:meth:`LabelGroups.pick`).  Each entry consumes only its own
         column, per the batch-invariance contract.
         """
         nodes = self._coerce_batch(nodes)
         uniforms = self._coerce_uniforms(nodes, uniforms)
-        if nodes.size == 0:
-            return np.full(nodes.shape, NO_CONTACT, dtype=np.int64)
-        out = np.full(nodes.shape, NO_CONTACT, dtype=np.int64)
         target_labels = np.zeros(nodes.shape, dtype=np.int64)  # 0 = no link
         source_labels = self._labels[nodes]
         for label in np.unique(source_labels).tolist():
@@ -273,16 +303,7 @@ class MatrixScheme(AugmentationScheme):
             total = float(cumulative[-1]) if cumulative.size else 0.0
             picked = np.searchsorted(cumulative, draws, side="right") + 1
             target_labels[lanes] = np.where(draws < total, picked, 0)
-        for label in np.unique(target_labels).tolist():
-            if label == 0:
-                continue
-            candidates = self._groups.get(int(label))
-            lanes = np.nonzero(target_labels == label)[0]
-            if candidates is None or candidates.size == 0:
-                continue  # the chosen label is not used by any node
-            picks = (uniforms[1, lanes] * candidates.size).astype(np.int64)
-            out[lanes] = candidates[picks]
-        return out
+        return self._groups.pick(target_labels, uniforms[1])
 
     def contact_distribution(self, node: int) -> np.ndarray:
         node = check_node_index(node, self._graph.num_nodes)
@@ -292,8 +313,7 @@ class MatrixScheme(AugmentationScheme):
         for target_label, mass in enumerate(row, start=1):
             if mass <= 0:
                 continue
-            candidates = self._groups.get(target_label)
-            if candidates is None or candidates.size == 0:
-                continue
-            probs[candidates] += mass / candidates.size
+            members = self._groups.members(target_label)
+            if members.size:
+                probs[members] += mass / members.size
         return probs

@@ -20,46 +20,43 @@ may share a label, in which case the contact is drawn uniformly among them
 (the paper's convention for non-distinct labels).
 
 :class:`Theorem2Scheme` implements the scheme *implicitly* (no ``n × n`` dense
-matrix is materialised, so it scales to large graphs), while
-:func:`ancestor_matrix` / :func:`theorem2_matrix` build the explicit matrices
-for small ``n`` so tests can check the implicit sampler against Definition 1.
+matrix is materialised, so it scales to large graphs); the tests check it
+against Definition 1 applied to the explicit matrices.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.base import NO_CONTACT, AugmentationScheme
-from repro.core.matrix import AugmentationMatrix, uniform_matrix
+from repro.core.matrix import LabelGroups
 from repro.decomposition.labeling import integer_ancestors, theorem2_labeling
 from repro.decomposition.path_decomposition import PathDecomposition
 from repro.decomposition.pathshape import estimate_pathshape
 from repro.graphs.graph import Graph
 from repro.utils.rng import RngLike
-from repro.utils.validation import check_node_index, check_positive_int
+from repro.utils.validation import check_node_index
 
-__all__ = ["Theorem2Scheme", "ancestor_matrix", "theorem2_matrix"]
-
-
-def ancestor_matrix(size: int) -> AugmentationMatrix:
-    """The explicit ancestor matrix ``A`` of Theorem 2 for label space ``{1, …, size}``."""
-    size = check_positive_int(size, "size")
-    denom = 1.0 + math.log2(size) if size > 1 else 1.0
-    entries = np.zeros((size, size))
-    for i in range(1, size + 1):
-        for j in integer_ancestors(i, max_value=size):
-            entries[i - 1, j - 1] = 1.0 / denom
-    return AugmentationMatrix(entries, name="ancestor")
+__all__ = ["Theorem2Scheme"]
 
 
-def theorem2_matrix(size: int) -> AugmentationMatrix:
-    """The explicit matrix ``M = (A + U) / 2`` of Theorem 2 (small sizes only)."""
-    a = ancestor_matrix(size).entries
-    u = uniform_matrix(size).entries
-    return AugmentationMatrix((a + u) / 2.0, name="theorem2")
+def _ancestor_labels(labels: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """``integer_ancestors(x, max_value=n)[i]`` for each label ``x`` and index ``i``.
+
+    ``0`` where ``i`` is past the last ancestor.  The ancestor of ``x`` at
+    bit ``s`` is ``((x >> (s+1)) << (s+1)) | (1 << s)``; it exists for
+    ``s`` from ``x``'s lowest set bit up and counts when it is at most
+    ``n``, which rules out every ``s >= n.bit_length()``.
+    """
+    bits = np.arange(n.bit_length(), dtype=np.int64)[:, None]
+    level_bit = 1 << bits
+    ancestors = ((labels >> (bits + 1)) << (bits + 1)) | level_bit
+    counts = (level_bit >= (labels & -labels)) & (ancestors <= n)
+    chosen = counts & (np.cumsum(counts, axis=0) == index + 1)
+    return (ancestors * chosen).sum(axis=0)
 
 
 class Theorem2Scheme(AugmentationScheme):
@@ -125,14 +122,8 @@ class Theorem2Scheme(AugmentationScheme):
             )
         self._decomposition = reduced
         self._labels = theorem2_labeling(reduced, n)
-        self._groups: Dict[int, np.ndarray] = {}
-        for node, label in enumerate(self._labels):
-            self._groups.setdefault(int(label), []).append(node)  # type: ignore[arg-type]
-        self._groups = {
-            label: np.asarray(nodes, dtype=np.int64) for label, nodes in self._groups.items()
-        }
+        self._groups = LabelGroups(self._labels, n)
         self._denom = 1.0 + math.log2(n) if n > 1 else 1.0
-        self._ancestor_cache: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -174,15 +165,6 @@ class Theorem2Scheme(AugmentationScheme):
     # Sampling
     # ------------------------------------------------------------------ #
 
-    def _ancestors_of(self, label: int) -> np.ndarray:
-        cached = self._ancestor_cache.get(label)
-        if cached is None:
-            cached = np.asarray(
-                integer_ancestors(label, max_value=self.graph.num_nodes), dtype=np.int64
-            )
-            self._ancestor_cache[label] = cached
-        return cached
-
     # Bound in this class's own __dict__, not only inherited: the layer
     # tracer (perfbench/tracer.py) wraps ``Class.__dict__["sample_contacts"]``.
     sample_contacts = AugmentationScheme.sample_contacts
@@ -194,8 +176,8 @@ class Theorem2Scheme(AugmentationScheme):
 
         ``uniforms[0]`` decides the mixture component.  In the uniform
         component ``uniforms[1]`` is the uniform node.  In the ancestor
-        component the entries are grouped by label, ``uniforms[1]`` gives
-        the ancestor index ``⌊u·(1 + log n)⌋`` (out of range = the row's
+        component ``uniforms[1]`` gives the ancestor index
+        ``⌊u·(1 + log n)⌋`` of the entry's label (out of range = the row's
         sub-stochastic residual, i.e. no link) and ``uniforms[2]`` picks a
         uniform member of the chosen ancestor label's group.  Each entry
         consumes only its own column, per the batch-invariance contract.
@@ -203,32 +185,13 @@ class Theorem2Scheme(AugmentationScheme):
         nodes = self._coerce_batch(nodes)
         uniforms = self._coerce_uniforms(nodes, uniforms)
         n = self._graph.num_nodes
-        if nodes.size == 0:
-            return np.full(nodes.shape, NO_CONTACT, dtype=np.int64)
         out = np.full(nodes.shape, NO_CONTACT, dtype=np.int64)
         uniform_mask = uniforms[0] < self._uniform_mixture
-        if np.any(uniform_mask):
-            out[uniform_mask] = (uniforms[1, uniform_mask] * n).astype(np.int64)
-        ancestor_lanes = np.nonzero(~uniform_mask)[0]
-        if ancestor_lanes.size == 0:
-            return out
-        target_labels = np.zeros(nodes.shape, dtype=np.int64)  # 0 = no link
-        source_labels = self._labels[nodes[ancestor_lanes]]
-        for label in np.unique(source_labels).tolist():
-            lanes = ancestor_lanes[source_labels == label]
-            ancestors = self._ancestors_of(int(label))
-            indices = (uniforms[1, lanes] * self._denom).astype(np.int64)
-            in_range = indices < ancestors.size
-            target_labels[lanes[in_range]] = ancestors[indices[in_range]]
-        for label in np.unique(target_labels).tolist():
-            if label == 0:
-                continue
-            candidates = self._groups.get(int(label))
-            lanes = np.nonzero(target_labels == label)[0]
-            if candidates is None or candidates.size == 0:
-                continue
-            picks = (uniforms[2, lanes] * candidates.size).astype(np.int64)
-            out[lanes] = candidates[picks]
+        out[uniform_mask] = (uniforms[1, uniform_mask] * n).astype(np.int64)
+        lanes = np.nonzero(~uniform_mask)[0]
+        index = (uniforms[1, lanes] * self._denom).astype(np.int64)
+        target_labels = _ancestor_labels(self._labels[nodes[lanes]], index, n)
+        out[lanes] = self._groups.pick(target_labels, uniforms[2, lanes])
         return out
 
     def contact_distribution(self, node: int) -> np.ndarray:
@@ -236,10 +199,8 @@ class Theorem2Scheme(AugmentationScheme):
         n = self._graph.num_nodes
         mix = self._uniform_mixture
         probs = np.full(n, mix / n)
-        label = int(self._labels[node])
-        for target_label in self._ancestors_of(label):
-            candidates = self._groups.get(int(target_label))
-            if candidates is None or candidates.size == 0:
-                continue
-            probs[candidates] += (1.0 - mix) / (self._denom * candidates.size)
+        for target_label in integer_ancestors(int(self._labels[node]), max_value=n):
+            members = self._groups.members(target_label)
+            if members.size:
+                probs[members] += (1.0 - mix) / (self._denom * members.size)
         return probs

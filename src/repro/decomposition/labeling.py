@@ -18,7 +18,7 @@ index of strictly larger level between them.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -133,11 +133,3 @@ def theorem2_labeling(
             # Convert to 1-based bag indices as in the paper.
             labels[u] = max_level_in_range(lo + 1, hi + 1)
     return labels
-
-
-def label_groups(labels: np.ndarray) -> Dict[int, np.ndarray]:
-    """Group node indices by label: ``{label: sorted array of nodes}``."""
-    groups: Dict[int, List[int]] = {}
-    for node, label in enumerate(np.asarray(labels, dtype=np.int64)):
-        groups.setdefault(int(label), []).append(node)
-    return {label: np.array(nodes, dtype=np.int64) for label, nodes in groups.items()}

@@ -19,7 +19,7 @@ unvisited set:
   cutoff.  A ring/path sweep from a few sources (about ``n / 2`` levels of a
   few keys each) is one run from start to end.
 * **top-down, padded** — the workhorse for wider levels.  A slot-major padded
-  *delta* adjacency (:func:`_padded_neighbors`) turns the neighbour gather
+  *delta* adjacency (:func:`padded_neighbors`) turns the neighbour gather
   into one 2-D ``take`` plus one broadcast add, and its padding slots point
   back at their (always already visited) owner, so they fall to the visited
   mask.  Built only for low-degree-variance families (paths, rings, grids,
@@ -83,6 +83,7 @@ __all__ = [
     "frontier_bfs_tree",
     "frontier_multi_source_bfs",
     "bfs_distances_many",
+    "padded_neighbors",
 ]
 
 UNREACHABLE: int = -1
@@ -166,7 +167,7 @@ def _gather_neighbors(
     return indices[pos], counts
 
 
-def _padded_neighbors(graph: Graph, dtype: np.dtype = np.dtype(np.int32)) -> Optional[np.ndarray]:
+def padded_neighbors(graph: Graph, dtype: np.dtype = np.dtype(np.int32)) -> Optional[np.ndarray]:
     """Slot-major padded *delta* adjacency ``(max_degree, n)``, or ``None``.
 
     ``pad[j, u]`` is ``v - u`` for ``u``'s ``j``-th CSR neighbour ``v``, and
@@ -181,6 +182,10 @@ def _padded_neighbors(graph: Graph, dtype: np.dtype = np.dtype(np.int32)) -> Opt
       which is always already visited (distance stamped), so the pads vanish
       under the exact same visited test that filters real revisits — no
       sentinel handling at all.
+
+    The oracle's batched hop-table pass
+    (:func:`repro.graphs.oracle.next_local_pointers_many`) gathers through
+    the same table, at ``u + pad[j, u]``.
 
     Built only when ``n * max_degree`` stays near the true arc count (see
     :data:`_PAD_SLOT_BLOWUP`) and memoised on the graph's
@@ -356,7 +361,7 @@ def _sweep(graph: Graph, rows: int, frontier: np.ndarray, cutoff: Optional[int])
     unvisited = total - frontier.size
     bu_cand: Optional[np.ndarray] = None  # unvisited key set while bottom-up
     bu_mask: Optional[np.ndarray] = None  # bit-packed previous frontier (bottom-up only)
-    pad = _padded_neighbors(graph, dt)
+    pad = padded_neighbors(graph, dt)
     sparse_limit = _SPARSE_FRONTIER
     claim: Optional[np.ndarray] = None
     slots_buf: Optional[np.ndarray] = None

@@ -66,6 +66,7 @@ from repro.graphs.frontier import (
     bfs_distances_many,
     bfs_dtype,
     frontier_bfs,
+    padded_neighbors,
 )
 # Not called here: perfbench/tracer.py wraps this module's ``frontier_bfs_tree``
 # as its ``frontier.frontier_bfs_tree`` span, which should count zero calls.
@@ -78,7 +79,6 @@ __all__ = [
     "FAR_DISTANCE",
     "next_local_pointers",
     "next_local_pointers_many",
-    "padded_adjacency",
 ]
 
 #: Sentinel larger than any real distance, used in place of ``UNREACHABLE``
@@ -139,47 +139,12 @@ def next_local_pointers(
     return out
 
 
-#: Skip the padded-adjacency fast path when padding would inflate the edge
-#: array beyond this factor (hub-dominated graphs: stars, lollipop heads).
-#: The per-target reference pass is used instead — identical output.
-_PAD_BLOWUP_LIMIT: int = 4
-
 #: Column-tile width of the blocked transposes in the batched pointer pass;
 #: a (tile, k) int32 tile stays L2-resident for any realistic batch size.
 _TRANSPOSE_TILE: int = 2048
 
 
-def padded_adjacency(graph: Graph) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Slot-major padded adjacency ``(padT, degrees)`` for the batched pass.
-
-    ``padT`` has shape ``(max_degree, n)``: column ``u`` lists the neighbours
-    of ``u`` in CSR order, padded with the sentinel node ``n``.  Returns
-    ``None`` when padding would inflate the arc array more than
-    ``_PAD_BLOWUP_LIMIT``-fold (a few huge hubs), in which case callers fall
-    back to the per-target pass.
-    """
-    n = graph.num_nodes
-    indptr = graph.indptr
-    indices = graph.indices
-    degrees = np.diff(indptr)
-    dmax = int(degrees.max()) if n and indices.size else 0
-    if dmax == 0:
-        return None
-    if n * dmax > _PAD_BLOWUP_LIMIT * indices.size + 4096:
-        return None
-    padT = np.full((dmax, n), n, dtype=np.int64)
-    slot_in_node = np.arange(indices.size, dtype=np.int64) - np.repeat(indptr[:-1], degrees)
-    owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    padT[slot_in_node, owner] = indices
-    return padT, degrees
-
-
-def next_local_pointers_many(
-    graph: Graph,
-    dist_block: np.ndarray,
-    *,
-    padded: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> np.ndarray:
+def next_local_pointers_many(graph: Graph, dist_block: np.ndarray) -> np.ndarray:
     """Batched :func:`next_local_pointers`: one vectorized pass for many targets.
 
     ``dist_block`` has shape ``(k, n)`` — row ``r`` is the BFS distance array
@@ -191,18 +156,22 @@ def next_local_pointers_many(
     minimum over a node's neighbours is the lexicographic ``(distance, id)``
     minimum — i.e. precisely the first CSR-order (lowest-id, lists are
     sorted) neighbour attaining the minimum distance.  The batch is laid out
-    **transposed**: a ``(n+1, k)`` composite block (sentinel last row) lets
-    one :func:`np.take` per padded adjacency slot gather that slot's
-    neighbour key for *all* ``k`` targets with a single ``n``-element index
-    pass — the per-element index overhead that dominates the per-target loop
-    is amortised ``k``-fold, and every reduction below it is a contiguous
-    SIMD ``minimum``.  Keys run in int32 whenever the composite fits, and
-    both transposes are tiled so the strided side of each copy stays
-    cache-resident.
+    **transposed**: an ``(n, k)`` composite block lets one :func:`np.take`
+    per slot of the BFS engine's padded delta table
+    (:func:`~repro.graphs.frontier.padded_neighbors`, gathered at
+    ``u + pad[j, u]``) fetch that slot's neighbour key for *all* ``k``
+    targets with a single ``n``-element index pass — the per-element index
+    overhead that dominates the per-target loop is amortised ``k``-fold, and
+    every reduction below it is a contiguous SIMD ``minimum``.  Keys run in
+    int32 whenever the composite fits, and both transposes are tiled so the
+    strided side of each copy stays cache-resident.
 
-    Graphs whose maximum degree would blow up the padded adjacency (see
-    :func:`padded_adjacency`) take the per-target reference pass instead —
-    same output, just without the batching win.
+    A pad slot gathers the node's own key, which never yields a hop: an
+    improving neighbour sits one distance lower and beats it, and a node
+    without one keeps its own key, whose hop ``u + n`` the range check below
+    rejects (targets, unreachable and isolated nodes alike).  Graphs the
+    engine refuses to pad (hubs, high degree variance) take the per-target
+    reference pass instead — same output, just without the batching win.
     """
     dist_block = np.asarray(dist_block)
     if dist_block.ndim != 2 or dist_block.shape[1] != graph.num_nodes:
@@ -214,47 +183,39 @@ def next_local_pointers_many(
     kb = kernels.active_backend()
     if kb.next_local_fill is not None:
         # Compiled fill: a typed first-improving-CSR-slot scan per (row,
-        # node).  It needs neither the padded adjacency nor the composite-key
+        # node).  It needs neither the padded table nor the composite-key
         # trick — the early break *is* the lexicographic minimum, because CSR
         # neighbour lists are sorted — so it also covers the hub-dominated
         # graphs the padded fast path rejects.
         kb.next_local_fill(graph.indptr, graph.indices, dist_block, out)
         return out
-    if padded is None:
-        padded = padded_adjacency(graph)
-    if padded is None:  # hub-dominated: padding rejected, use the reference pass
+    pad = padded_neighbors(graph)
+    if pad is None:  # padding rejected: use the reference pass
         slot_owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
         for r in range(k):
             out[r] = next_local_pointers(graph, dist_block[r], slot_owner=slot_owner)
         return out
-    padT, degrees = padded
     max_d = int(dist_block.max())
     small = (max_d + 2) * (n + 1) < np.iinfo(np.int32).max
     dt = np.int32 if small else np.int64
-    ids_col = np.arange(n, dtype=dt)[:, None]
-    # Composite block, transposed, with the sentinel row keeping padded slots
-    # out of every minimum.
-    c_t = np.empty((n + 1, k), dtype=dt)
+    ids = np.arange(n, dtype=np.int64)
+    ids_col = ids.astype(dt)[:, None]
+    c_t = np.empty((n, k), dtype=dt)
     for start in range(0, n, _TRANSPOSE_TILE):
         stop = min(start + _TRANSPOSE_TILE, n)
         np.multiply(dist_block[:, start:stop].T, dt(n), out=c_t[start:stop], casting="unsafe")
-    np.add(c_t[:n], ids_col, out=c_t[:n])
-    c_t[n] = np.iinfo(dt).max
+    np.add(c_t, ids_col, out=c_t)
     # Plain (allocating) takes: np.take's ``out=`` path runs a slower buffered
     # loop, measurably worse than letting it allocate per slot.
-    mins = np.take(c_t, padT[0], axis=0)
-    for j in range(1, padT.shape[0]):
-        np.minimum(mins, np.take(c_t, padT[j], axis=0), out=mins)
+    mins = np.take(c_t, ids + pad[0], axis=0)
+    for j in range(1, pad.shape[0]):
+        np.minimum(mins, np.take(c_t, ids + pad[j], axis=0), out=mins)
     # hop = min_composite - (dist - 1) * n = mins - c + id + n; a hop is valid
-    # iff it lands in [0, n) — target rows (min at distance >= 1), unreachable
-    # rows and sentinel-only (isolated) rows all fall outside, including via
-    # deterministic int wraparound of the sentinel.
-    np.subtract(mins, c_t[:n], out=mins)
+    # iff it lands in [0, n).
+    np.subtract(mins, c_t, out=mins)
     np.add(mins, ids_col, out=mins)
     np.add(mins, dt(n), out=mins)
-    bad = (mins < 0) | (mins >= dt(n))
-    bad |= (degrees == 0)[:, None]
-    mins[bad] = dt(-1)
+    mins[(mins < 0) | (mins >= dt(n))] = dt(-1)
     for start in range(0, n, _TRANSPOSE_TILE):
         stop = min(start + _TRANSPOSE_TILE, n)
         np.copyto(out[:, start:stop], mins[start:stop].T, casting="unsafe")
@@ -354,9 +315,6 @@ class DistanceOracle:
         self._dtype = bfs_dtype(graph.num_nodes)
         #: Hot distance rows, least recently used first.
         self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        #: Padded adjacency for the batched pointer pass (None = not built
-        #: yet, False = this graph rejected padding — hub-dominated).
-        self._padded = None
         #: The routing-block pool (see :meth:`routing_blocks`): pooled
         #: targets in row order, target -> row, and the ``(capacity, n)``
         #: distance/hop-table buffers the rows live in.
@@ -596,17 +554,6 @@ class DistanceOracle:
         self.prefetch(targets)
         return np.stack([self.distances_to(t) for t in targets])
 
-    def _padded_adjacency(self):
-        """Padded adjacency for the batched pointer pass, built once."""
-        if self._padded is False:  # computed before, graph rejected padding
-            return None
-        if self._padded is None:
-            self._padded = padded_adjacency(self._graph)
-            if self._padded is None:
-                self._padded = False
-                return None
-        return self._padded
-
     def next_local_to_many(self, targets: Sequence[int]) -> np.ndarray:
         """Hop-table block of shape ``(len(targets), n)``, one row per target.
 
@@ -681,9 +628,7 @@ class DistanceOracle:
         dist_buf, nl_buf = storage
         if fresh:
             fresh_dist = self.distances_to_many(fresh)
-            nl_buf[used:k] = next_local_pointers_many(
-                self._graph, fresh_dist, padded=self._padded_adjacency()
-            )
+            nl_buf[used:k] = next_local_pointers_many(self._graph, fresh_dist)
             dist_buf[used:k] = fresh_dist
             dist_buf[used:k][fresh_dist == UNREACHABLE] = FAR_DISTANCE
             pool_rows.update(zip(fresh, range(used, k)))

@@ -111,6 +111,47 @@ class TestCellArtifact:
         assert path.parent == tmp_path / "nested"
         assert load_cell_artifact(path) == artifact
 
+    def test_two_writers_of_one_cell_do_not_share_a_temp_file(self, tmp_path, monkeypatch):
+        # A stale-lease takeover lets a second shard write the same cell
+        # while the first is between its write and its rename.
+        import os
+
+        artifact = _sample_artifact()
+        real_replace = os.replace
+        nested = []
+
+        def replace(src, dst):
+            if not nested:
+                nested.append(src)
+                write_cell_artifact(tmp_path, artifact)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        path = write_cell_artifact(tmp_path, artifact)
+        assert nested and load_cell_artifact(path) == artifact
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp litter
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import os
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_cell_artifact(tmp_path, _sample_artifact())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_artifact_mode_follows_umask(self, tmp_path):
+        import os
+
+        old = os.umask(0o027)
+        try:
+            path = write_cell_artifact(tmp_path, _sample_artifact())
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o640
+
     def test_unknown_schema_version_rejected(self):
         data = json.loads(_sample_artifact().to_json())
         data["schema_version"] = ARTIFACT_SCHEMA_VERSION + 1

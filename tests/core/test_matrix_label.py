@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.matrix import MatrixScheme
-from repro.core.matrix_label import Theorem2Scheme, ancestor_matrix, theorem2_matrix
+from repro.core.matrix_label import Theorem2Scheme
 from repro.decomposition.exact import path_decomposition_of_path
 from repro.decomposition.labeling import integer_ancestors
 from repro.graphs import generators
+from tests.core.theorem2_reference import ancestor_matrix, theorem2_matrix
 
 
 class TestExplicitMatrices:

@@ -9,7 +9,6 @@ from repro.decomposition.labeling import (
     integer_ancestors,
     integer_level,
     is_ancestor,
-    label_groups,
     max_level_in_range,
     theorem2_labeling,
 )
@@ -145,10 +144,3 @@ class TestTheorem2Labeling:
         pd = PathDecomposition([{0, 1}])
         with pytest.raises(ValueError):
             theorem2_labeling(pd, 4)
-
-    def test_label_groups(self):
-        labels = np.array([1, 2, 2, 3, 1])
-        groups = label_groups(labels)
-        assert list(groups[1]) == [0, 4]
-        assert list(groups[2]) == [1, 2]
-        assert list(groups[3]) == [3]

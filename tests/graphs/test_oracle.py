@@ -287,6 +287,8 @@ class TestNextLocalMany:
             generators.cycle_graph(24),
             generators.random_tree(40, seed=9),
             disconnected,
+            # The BFS engine refuses to pad this tree: the per-target pass runs.
+            generators.random_tree(1024, seed=1),
         ]
 
     def test_exact_equality_with_per_target_loop(self):
@@ -319,11 +321,11 @@ class TestNextLocalMany:
     def test_hub_graph_uses_fallback_and_matches(self):
         # A star's padded adjacency would blow up n x (n-1); the builder must
         # reject padding and still produce exact tables via the fallback.
+        from repro.graphs.frontier import padded_neighbors
         from repro.graphs.graph import Graph
-        from repro.graphs.oracle import padded_adjacency
 
         star = Graph.from_edges(1200, [(0, i) for i in range(1, 1200)])
-        assert padded_adjacency(star) is None
+        assert padded_neighbors(star) is None
         batched = DistanceOracle(star)
         loop = DistanceOracle(star)
         block = batched.next_local_to_many([0, 5, 11])
@@ -331,6 +333,21 @@ class TestNextLocalMany:
             np.testing.assert_array_equal(
                 block[row], next_local_pointers(star, loop.distances_to(t))
             )
+
+    def test_forced_padding_on_a_star_matches_reference(self, monkeypatch):
+        # Padding forced onto a hub graph: every leaf column is one real
+        # neighbour and n - 2 self slots, whose own key must never win.
+        from repro.graphs import frontier
+        from repro.graphs.oracle import next_local_pointers_many
+
+        monkeypatch.setattr(frontier, "_PAD_SLOT_BLOWUP", 1e9)
+        star = generators.star_graph(300)
+        assert frontier.padded_neighbors(star) is not None
+        targets = [0, 1, 7, 299]
+        dist_block = DistanceOracle(star).distances_to_many(targets)
+        many = next_local_pointers_many(star, dist_block)
+        for row in range(len(targets)):
+            np.testing.assert_array_equal(many[row], next_local_pointers(star, dist_block[row]))
 
     def test_duplicates_and_cached_rows(self, grid4x4):
         oracle = DistanceOracle(grid4x4)
